@@ -42,7 +42,7 @@ from repro.core.compiler import (
 )
 from repro.core.faults import FaultSpec, TransientSolverError, parse_fault_spec
 from repro.ising.model import IsingModel
-from repro.qmasm.runner import QmasmRunner, RetryPolicy, RunResult, Solution
+from repro.qmasm.runner import QmasmRunner, RetryPolicy, RunOptions, RunResult, Solution
 from repro.solvers.machine import DWaveSimulator, MachineProperties
 
 __version__ = "1.0.0"
@@ -59,6 +59,7 @@ __all__ = [
     "IsingModel",
     "QmasmRunner",
     "RetryPolicy",
+    "RunOptions",
     "RunResult",
     "Solution",
     "DWaveSimulator",

@@ -33,34 +33,26 @@ pipeline behind the long-lived HTTP/JSON job service
 (:mod:`repro.service`): asynchronous jobs, shared compile/embedding
 caches, per-tenant rate limits, ``/healthz`` and ``/metrics``.
 
-Fault-tolerance flags (see ``repro.core.faults``):
+Fault-injection and deadline flags (see ``repro.core.faults`` and
+``repro.core.deadline``):
 
 ``--inject-fault SPEC``
     deterministically damage the simulated machine, e.g.
     ``--inject-fault 'dead_qubits=5%,fail_first=2,seed=7'`` kills 5% of
     qubits and makes the first two sample calls fail.  Repeatable; later
     specs override earlier keys.
-``--retries N``
-    per-run sample-call retry budget (each retry under a fresh
-    spin-reversal gauge).
-``--no-fallback``
-    fail instead of degrading to classical solver tiers when the
-    hardware stays unavailable.
-
-Certification and deadline flags (see ``repro.qmasm.certify`` and
-``repro.core.deadline``):
-
-``--certify``
-    independently re-check every returned read (energy recomputation,
-    per-gate truth-table replay, pin constraints) and print the
-    certificate; exit 3 if any read fails certification.
-``--repair``
-    implies ``--certify``; polish and re-sample uncertified reads
-    within the retry policy's repair budget before giving up.
 ``--deadline SECONDS``
     wall-clock budget for the whole run; samplers stop cooperatively
     at sweep-batch granularity and the run exits 4 if the budget
     expires before a usable result exists.
+
+The compile and run flags (``--steps``, ``--solver``, ``--num-reads``,
+``--retries``, ``--certify``, ...) are generated from the options
+schema (:mod:`repro.core.options`): each knob's flag, help text and
+bounds are declared once, on its :class:`CompileOptions`,
+:class:`~repro.qmasm.runner.RunOptions` or
+:class:`~repro.qmasm.runner.RetryPolicy` field, and an out-of-range
+value exits 1 with a one-line ``error: --<flag>: ...``.
 
 Exit codes: 0 success; 1 generic error; 2 usage/pin diagnostics or no
 valid solutions; 3 certification failure; 4 deadline exceeded.
@@ -72,8 +64,10 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.core import options as _options
 from repro.core.compiler import CompileOptions, VerilogAnnealerCompiler
 from repro.core.faults import parse_fault_spec
+from repro.qmasm.runner import RetryPolicy, RunOptions
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,18 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("source", help="Verilog source file ('-' for stdin)")
-    parser.add_argument("--top", help="top module name (default: last defined)")
     parser.add_argument(
         "--pin",
         action="append",
         default=[],
         metavar="'VAR := VALUE'",
         help="pin a variable, e.g. --pin 'C[7:0] := 10001111' (repeatable)",
-    )
-    parser.add_argument(
-        "--steps",
-        type=int,
-        help="unroll sequential logic over this many time steps",
     )
     parser.add_argument(
         "--emit",
@@ -110,16 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--run", action="store_true", help="execute the program")
-    parser.add_argument(
-        "--solver",
-        choices=["dwave", "sa", "sqa", "exact", "tabu", "qbsolv", "shard"],
-        default="dwave",
-        help=(
-            "execution backend (default: simulated D-Wave 2000Q); "
-            "'shard' decomposes across a fleet of --machines chips "
-            "(or a heterogeneous --fleet)"
-        ),
-    )
+    # Compile, run and retry knobs: flags, help and bounds come from
+    # the options schema (repro.core.options); the CLI reads more by
+    # default than the library does.
+    _options.add_arguments(parser, CompileOptions)
+    _options.add_arguments(parser, RunOptions, defaults={"num_reads": 1000})
+    _options.add_arguments(parser, RetryPolicy)
     from repro.hardware.registry import available_topologies
 
     parser.add_argument(
@@ -171,77 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--checkpoint-dir checkpoint (bit-identical continuation)"
         ),
     )
-    parser.add_argument(
-        "--num-reads",
-        "--reads",
-        dest="reads",
-        type=int,
-        default=1000,
-        help="number of anneals/reads (--reads is an alias)",
-    )
-    parser.add_argument(
-        "--num-sweeps",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "Metropolis sweeps per read for the classical solvers "
-            "(default: solver-specific; the dwave solver derives sweeps "
-            "from --anneal-time)"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "process-pool size for parallel gauge batches (dwave) and "
-            "qbsolv reads; results are bit-identical to serial runs"
-        ),
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=["dense", "sparse", "jit"],
-        default=None,
-        help=(
-            "force a Metropolis sweep-kernel tier (jit needs numba and "
-            "falls back to sparse with a warning); default auto-selects "
-            "per problem -- all tiers are bit-identical, only speed "
-            "differs"
-        ),
-    )
-    parser.add_argument(
-        "--batch-gauges",
-        action="store_true",
-        help=(
-            "pack the dwave solver's spin-reversal gauge batch into one "
-            "cross-problem kernel invocation (deterministic per seed, "
-            "but samples differ from the serial gauge schedule)"
-        ),
-    )
-    parser.add_argument(
-        "--batch-shards",
-        action="store_true",
-        help=(
-            "pack each --solver shard round's subproblems into one "
-            "cross-problem kernel invocation"
-        ),
-    )
-    parser.add_argument(
-        "--anneal-time", type=float, default=20.0, help="anneal time in us"
-    )
     parser.add_argument("--seed", type=int, help="RNG seed for reproducibility")
     parser.add_argument(
         "--all-solutions",
         action="store_true",
         help="print every distinct solution, not just valid ones",
-    )
-    parser.add_argument(
-        "-O",
-        "--roof-duality",
-        action="store_true",
-        help="elide a-priori-determined qubits via roof duality",
     )
     parser.add_argument(
         "--time-passes",
@@ -272,31 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(e.g. 'machine_crash=1:3,machine_flaky=0:30%%') drive the "
             "--solver shard fleet's chaos plan"
         ),
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=3,
-        metavar="N",
-        help="sample-call attempt budget for transient failures (default: 3)",
-    )
-    parser.add_argument(
-        "--no-fallback",
-        action="store_true",
-        help="fail instead of degrading to classical solvers when the "
-        "hardware stays unavailable",
-    )
-    parser.add_argument(
-        "--certify",
-        action="store_true",
-        help="independently re-check every read (energy, gate truth "
-        "tables, pins) and print the certificate; exit 3 on failure",
-    )
-    parser.add_argument(
-        "--repair",
-        action="store_true",
-        help="implies --certify; polish and re-sample uncertified reads "
-        "within the repair budget before giving up",
     )
     parser.add_argument(
         "--deadline",
@@ -355,11 +248,28 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run_command(args: argparse.Namespace) -> int:
-    if args.source == "-":
-        source = sys.stdin.read()
-    else:
-        with open(args.source, "r", encoding="utf-8") as handle:
-            source = handle.read()
+    try:
+        compile_options = _options.from_args(CompileOptions, args)
+        run_options = _options.from_args(
+            RunOptions,
+            args,
+            certify=args.certify or args.repair,
+            retry_policy=_options.from_args(RetryPolicy, args),
+        )
+    except _options.OptionError as exc:
+        print(f"error: {exc.flag or exc.name}: {exc.reason}", file=sys.stderr)
+        return 1
+
+    try:
+        if args.source == "-":
+            source = sys.stdin.read()
+        else:
+            with open(args.source, "r", encoding="utf-8") as handle:
+                source = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"error: {args.source}: {reason}", file=sys.stderr)
+        return 1
 
     machine = None
     spec = None
@@ -407,9 +317,8 @@ def _run_command(args: argparse.Namespace) -> int:
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
     )
-    options = CompileOptions(top=args.top, unroll_steps=args.steps)
     try:
-        program = compiler.compile(source, options)
+        program = compiler.compile(source, compile_options)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -452,29 +361,10 @@ def _run_command(args: argparse.Namespace) -> int:
         return code
 
     from repro.core.deadline import DeadlineExceeded
-    from repro.qmasm.runner import RetryPolicy
 
-    policy = RetryPolicy(max_sample_attempts=args.retries)
-    if args.no_fallback:
-        policy.fallback_solvers = ()
-    certify = args.certify or args.repair
     try:
         result = compiler.run(
-            program,
-            pins=args.pin,
-            solver=args.solver,
-            num_reads=args.reads,
-            num_sweeps=args.num_sweeps,
-            max_workers=args.workers,
-            kernel=args.kernel,
-            batch_gauges=args.batch_gauges,
-            batch_shards=args.batch_shards,
-            annealing_time_us=args.anneal_time,
-            use_roof_duality=args.roof_duality,
-            retry_policy=policy,
-            certify=certify,
-            repair=args.repair,
-            deadline=args.deadline,
+            program, args.pin, run_options, deadline=args.deadline
         )
     except DeadlineExceeded as exc:
         print(
@@ -500,7 +390,7 @@ def _run_command(args: argparse.Namespace) -> int:
         print(format_pass_table(program.stats, title="compile passes:"))
         print()
         print(format_pass_table(result.stats, title="run passes:"))
-    if certify and result.certificate is not None:
+    if run_options.certify and result.certificate is not None:
         print(f"certificate: {result.certificate.summary()}")
         if not result.certificate.ok:
             print(

@@ -36,25 +36,22 @@ Typical use::
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.core import trace as _trace
 from repro.core.cache import CompilationCache, EmbeddingCache
-from repro.core.pipeline import (
-    PassManager,
-    PipelineContext,
-    PipelineStats,
-    Stage,
-    TraceCallback,
-)
+from repro.core.deadline import Deadline
+from repro.core.options import check, knob
+from repro.core.pipeline import PassManager, PipelineContext, PipelineStats, Stage
 from repro.edif.writer import write_edif
 from repro.edif.reader import read_edif
 from repro.edif2qmasm.translate import netlist_to_qmasm
 from repro.hdl.elaborator import elaborate
 from repro.qmasm.assembler import LogicalProgram, assemble
 from repro.qmasm.parser import parse_qmasm
-from repro.qmasm.runner import QmasmRunner, RunResult
+from repro.qmasm.runner import QmasmRunner, RunOptions, RunResult
 from repro.solvers.machine import DWaveSimulator
 from repro.synth.netlist import Netlist
 from repro.synth.opt import optimize
@@ -67,23 +64,27 @@ from repro.synth.unroll import unroll
 class CompileOptions:
     """Knobs for the lowering pipeline.
 
-    Attributes:
-        top: name of the top Verilog module (default: last defined).
-        parameters: top-module parameter overrides.
-        run_optimizer: apply the ABC-role netlist optimizations.
-        run_techmap: fold gates into compound Table 5 cells.
-        unroll_steps: for sequential designs, how many discrete time
-            steps to unroll (required if the design has flip-flops).
-        initial_state: per-flip-flop initial bit (0/1), or None to leave
-            the initial state as free inputs the annealer may solve for.
+    Like :class:`~repro.qmasm.runner.RunOptions`, every field documents
+    itself through its :func:`~repro.core.options.knob` metadata.  The
+    field set is part of :meth:`CompilationCache.key_for` keys.
     """
 
-    top: Optional[str] = None
-    parameters: Optional[Dict[str, int]] = None
-    run_optimizer: bool = True
-    run_techmap: bool = True
-    unroll_steps: Optional[int] = None
-    initial_state: Optional[int] = 0
+    top: Optional[str] = knob(None, flag="--top", help="top module name (default: last defined)")
+    parameters: Optional[Dict[str, int]] = knob(None, help="top-module parameter overrides")
+    run_optimizer: bool = knob(True, help="apply the ABC-role netlist optimizations")
+    run_techmap: bool = knob(True, help="fold gates into compound Table 5 cells")
+    unroll_steps: Optional[int] = knob(
+        None,
+        flag="--steps",
+        minimum=1,
+        help="unroll sequential logic over this many time steps (required for flip-flops)",
+    )
+    initial_state: Optional[int] = knob(
+        0, choices=(0, 1), help="every flip-flop's initial bit; None leaves it free"
+    )
+
+    def __post_init__(self):
+        check(self)
 
 
 @dataclass
@@ -319,8 +320,6 @@ class VerilogAnnealerCompiler:
             :class:`CompilationCache` instance is used directly.
         cache_dir: optional directory for an on-disk cache tier shared
             across processes.
-        trace: optional callback receiving per-stage begin/end trace
-            events from both compilation and execution pipelines.
         machines: simulated fleet size for the ``"shard"`` solver.
         fleet: heterogeneous fleet spec for the ``"shard"`` solver
             (``"C16,P8,Z6"``); overrides ``machines``.
@@ -335,14 +334,12 @@ class VerilogAnnealerCompiler:
         seed: Optional[int] = None,
         cache: Union[bool, CompilationCache] = True,
         cache_dir: Optional[str] = None,
-        trace: Optional[TraceCallback] = None,
         machines: int = 4,
         fleet: Optional[str] = None,
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
     ):
         self.seed = seed
-        self.trace = trace
         if isinstance(cache, CompilationCache):
             self.compile_cache = cache
             cache_enabled = cache.enabled
@@ -357,7 +354,6 @@ class VerilogAnnealerCompiler:
             embedding_cache=EmbeddingCache(
                 cache_dir=cache_dir, enabled=cache_enabled
             ),
-            trace=trace,
             machines=machines,
             fleet=fleet,
             checkpoint_dir=checkpoint_dir,
@@ -367,6 +363,18 @@ class VerilogAnnealerCompiler:
         self.compile_stages: List[Stage] = default_compile_stages()
 
     # ------------------------------------------------------------------
+    def compile_key(self, verilog_source: str, options: CompileOptions) -> str:
+        """The :class:`CompilationCache` key :meth:`compile` stores under.
+
+        Keyed by the attached machine's topology fingerprint so
+        programs compiled against different hardware families never
+        alias; a machine-less compiler stays on the target-agnostic
+        marker (and never builds a C16 graph just to hash its name).
+        """
+        machine = self.runner.machine
+        target = machine.topology.fingerprint() if machine is not None else "any"
+        return CompilationCache.key_for(verilog_source, options, target)
+
     def compile(
         self, verilog_source: str, options: Optional[CompileOptions] = None, **kwargs
     ) -> CompiledProgram:
@@ -384,24 +392,13 @@ class VerilogAnnealerCompiler:
             raise TypeError("pass either options or keyword overrides, not both")
 
         with _trace.span("compile") as span:
-            # Keyed by the attached machine's topology fingerprint so
-            # programs compiled against different hardware families
-            # never alias; a machine-less compiler stays on the
-            # target-agnostic marker (and never builds a C16 graph
-            # just to hash its name).
-            machine = self.runner.machine
-            target = (
-                machine.topology.fingerprint() if machine is not None else "any"
-            )
-            cache_key = CompilationCache.key_for(verilog_source, options, target)
+            cache_key = self.compile_key(verilog_source, options)
             cached = self.compile_cache.get(cache_key)
             if cached is not None:
                 span.set_attributes(cached=True)
                 return cached
 
-            context = PipelineContext(
-                options=options, seed=self.seed, trace=self.trace
-            )
+            context = PipelineContext(options=options, seed=self.seed)
             artifact = PassManager(self.compile_stages, name="compile").run(
                 CompileArtifact(source=verilog_source), context
             )
@@ -425,18 +422,19 @@ class VerilogAnnealerCompiler:
         self,
         program: Union[str, CompiledProgram],
         pins: Sequence[str] = (),
-        solver: str = "dwave",
-        num_reads: int = 100,
+        options: Optional[RunOptions] = None,
+        deadline: Optional[Union[float, Deadline]] = None,
         compile_options: Optional[CompileOptions] = None,
-        **runner_kwargs,
+        **overrides: Any,
     ) -> RunResult:
         """Execute a compiled program (compiling first if given source).
 
         ``pins`` bind inputs for forward execution or outputs for
-        backward execution -- the same program runs either way.  When
-        ``program`` is raw Verilog source, ``compile_options`` controls
-        the implied compilation (e.g.
-        ``run(src, compile_options=CompileOptions(unroll_steps=4))``);
+        backward execution -- the same program runs either way.
+        ``options``/``overrides`` and ``deadline`` are as for
+        :meth:`QmasmRunner.run`.  When ``program`` is raw Verilog
+        source, ``compile_options`` controls the implied compilation
+        (e.g. ``run(src, compile_options=CompileOptions(unroll_steps=4))``);
         it is rejected for already-compiled programs.
 
         The compiled gate-level netlist rides along into the runner, so
@@ -455,15 +453,13 @@ class VerilogAnnealerCompiler:
         # generated from (the EDIF round-trip renumbers internal nets,
         # so program.netlist's $net<N> names need not match the sampled
         # variables).  Old cached programs may predate the field.
-        runner_kwargs.setdefault(
-            "netlist", getattr(program, "edif_netlist", None) or program.netlist
-        )
+        netlist = getattr(program, "edif_netlist", None) or program.netlist
+        if options is None:
+            overrides.setdefault("netlist", netlist)
+        elif options.netlist is None:
+            options = dataclasses.replace(options, netlist=netlist)
         return self.runner.run(
-            program.logical,
-            pins=pins,
-            solver=solver,
-            num_reads=num_reads,
-            **runner_kwargs,
+            program.logical, pins, options, deadline, **overrides
         )
 
 
@@ -477,27 +473,22 @@ def compile_verilog(
 def run_verilog(
     verilog_source: str,
     pins: Sequence[str] = (),
-    solver: str = "sa",
-    num_reads: int = 200,
-    num_sweeps: Optional[int] = None,
-    max_workers: Optional[int] = None,
     seed: Optional[int] = None,
-    **options,
+    **overrides: Any,
 ) -> RunResult:
     """Compile and execute in one call (quickstart convenience).
 
-    ``num_sweeps`` sets the classical solvers' per-read sweep budget and
-    ``max_workers`` sizes the process pool for parallel gauge batches /
-    qbsolv reads (bit-identical to serial); both default to the
-    runner's behavior when None.
+    Keyword arguments are :class:`CompileOptions` or
+    :class:`~repro.qmasm.runner.RunOptions` fields; the run defaults to
+    ``solver="sa"`` with 200 reads.
     """
+    compile_kwargs = {
+        name: overrides.pop(name)
+        for name in CompileOptions.__dataclass_fields__
+        if name in overrides
+    }
     compiler = VerilogAnnealerCompiler(seed=seed)
-    program = compiler.compile(verilog_source, **options)
+    program = compiler.compile(verilog_source, **compile_kwargs)
     return compiler.run(
-        program,
-        pins=pins,
-        solver=solver,
-        num_reads=num_reads,
-        num_sweeps=num_sweeps,
-        max_workers=max_workers,
+        program, pins, **{"solver": "sa", "num_reads": 200, **overrides}
     )

@@ -42,13 +42,8 @@ from repro.core import trace as _trace
 from repro.core.cache import EmbeddingCache
 from repro.core.deadline import Deadline
 from repro.core.faults import TransientSolverError
-from repro.core.pipeline import (
-    PassManager,
-    PipelineContext,
-    PipelineStats,
-    Stage,
-    TraceCallback,
-)
+from repro.core.options import check, knob
+from repro.core.pipeline import PassManager, PipelineContext, PipelineStats, Stage
 from repro.core.trace import MetricsRegistry, Span
 from repro.hardware.embedding import (
     Embedding,
@@ -276,83 +271,129 @@ class RetryPolicy:
     at all.
     """
 
-    max_sample_attempts: int = 3
-    backoff_s: float = 0.0
-    backoff_factor: float = 2.0
-    gauge_on_retry: bool = True
-    chain_break_threshold: float = 0.25
-    chain_strength_factor: float = 2.0
-    max_chain_strength_escalations: int = 2
-    fallback_solvers: Tuple[str, ...] = ("sqa", "tabu", "exact")
-    exact_fallback_limit: int = 18
-    embedding_max_attempts: int = 3
-    embedding_backoff_s: float = 0.0
-    max_repair_rounds: int = 3
-    repair_polish_sweeps: int = 64
-    repair_read_factor: float = 2.0
+    max_sample_attempts: int = knob(
+        3, flag="--retries", minimum=1, help="sample-call attempt budget for transient failures"
+    )
+    backoff_s: float = knob(0.0, minimum=0.0, help="sleep before the first retry, in seconds")
+    backoff_factor: float = knob(2.0, minimum=0.0, help="backoff multiplier per retry")
+    gauge_on_retry: bool = knob(True, help="run each retry under a fresh random gauge")
+    chain_break_threshold: float = knob(
+        0.25, minimum=0.0, maximum=1.0, help="chain-break fraction that escalates chain strength"
+    )
+    chain_strength_factor: float = knob(
+        2.0, exclusive_minimum=1.0, help="chain-strength multiplier per escalation"
+    )
+    max_chain_strength_escalations: int = knob(2, minimum=0, help="escalations per run")
+    fallback_solvers: Tuple[str, ...] = knob(
+        ("sqa", "tabu", "exact"),
+        flag="--no-fallback",
+        const=(),
+        choices=("sa", "sqa", "tabu", "exact"),
+        help="classical tiers to degrade through, in order, when the hardware stays "
+        "unavailable; --no-fallback empties it (fail instead of degrading)",
+    )
+    exact_fallback_limit: int = knob(18, minimum=0, help="largest model the exact tier takes")
+    embedding_max_attempts: int = knob(3, minimum=1, help="escalating embedding attempts")
+    embedding_backoff_s: float = knob(0.0, minimum=0.0, help="sleep between embedding attempts")
+    max_repair_rounds: int = knob(3, minimum=0, help="repair rounds for uncertified reads")
+    repair_polish_sweeps: int = knob(64, minimum=1, help="steepest-descent sweeps per polish")
+    repair_read_factor: float = knob(2.0, minimum=1.0, help="read multiplier per re-sample round")
 
     def __post_init__(self):
-        if self.max_sample_attempts < 1:
-            raise ValueError("max_sample_attempts must be >= 1")
-        if self.max_repair_rounds < 0:
-            raise ValueError("max_repair_rounds must be >= 0")
-        if self.repair_polish_sweeps < 1:
-            raise ValueError("repair_polish_sweeps must be >= 1")
-        if self.repair_read_factor < 1.0:
-            raise ValueError("repair_read_factor must be >= 1")
-        if self.embedding_max_attempts < 1:
-            raise ValueError("embedding_max_attempts must be >= 1")
-        if not 0.0 <= self.chain_break_threshold <= 1.0:
-            raise ValueError("chain_break_threshold must be in [0, 1]")
-        if self.chain_strength_factor <= 1.0:
-            raise ValueError("chain_strength_factor must be > 1")
-        unknown = set(self.fallback_solvers) - {"sa", "sqa", "tabu", "exact"}
-        if unknown:
-            raise ValueError(f"unknown fallback solver(s): {sorted(unknown)}")
+        check(self)
 
 
 @dataclass
 class RunOptions:
-    """Per-run execution knobs, carried by the pipeline context."""
+    """Per-run execution knobs, carried by the pipeline context.
 
-    solver: str = "dwave"
-    num_reads: int = 100
-    #: Metropolis sweeps per read for the classical solvers; None keeps
-    #: each solver's default (the dwave tier derives sweeps from
-    #: ``annealing_time_us`` instead).
-    num_sweeps: Optional[int] = None
-    #: Process-pool size for parallel gauge batches (dwave) and qbsolv
-    #: reads; None/1 runs serially.  Results are bit-identical either
-    #: way -- seeds are split deterministically from the parent RNG.
-    max_workers: Optional[int] = None
-    #: Force a sweep-kernel tier (``"dense"``/``"sparse"``/``"jit"``)
-    #: in every sampling path; None auto-selects per problem.  Tiers
-    #: are bit-identical, so this is purely a performance knob.
-    kernel: Optional[str] = None
-    #: Pack the dwave tier's spin-reversal gauge batches into one
-    #: cross-problem kernel invocation (see repro.solvers.batch).
-    batch_gauges: bool = False
-    #: Pack each shard round's subproblems into one kernel invocation.
-    batch_shards: bool = False
-    annealing_time_us: float = 20.0
-    chain_strength: Optional[float] = None
-    pin_strength: Optional[float] = None
-    use_roof_duality: bool = False
-    embedding_tries: int = 16
-    embedding_seed: Optional[int] = None
-    postprocess: str = "optimization"
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Certify every read end-to-end (energy recomputation + netlist
-    #: replay + pins/assertions) and attach a Certificate to the result.
-    certify: bool = False
-    #: Run the self-repair loop on uncertified reads (requires certify).
-    repair: bool = False
-    #: The gate-level netlist to replay during certification, when the
-    #: program came from the Verilog flow; None limits certification to
-    #: energy/pin/assertion checks.
+    Each knob's help text, bounds and CLI flag are its
+    :func:`~repro.core.options.knob` metadata, read by the library
+    (``QmasmRunner.run(..., **overrides)``), the CLI and the service.
+    """
+
+    solver: str = knob(
+        "dwave",
+        flag="--solver",
+        choices=("dwave", "sa", "sqa", "exact", "tabu", "qbsolv", "shard"),
+        help="execution backend: dwave (embed and anneal on the simulated D-Wave 2000Q), "
+        "sa (simulated annealing), sqa (path-integral simulated quantum annealing), "
+        "exact, tabu, qbsolv, or shard (decompose across --machines chips or a --fleet)",
+    )
+    num_reads: int = knob(
+        100, flag=("--num-reads", "--reads"), minimum=1, help="number of anneals/reads"
+    )
+    num_sweeps: Optional[int] = knob(
+        None,
+        flag="--num-sweeps",
+        minimum=1,
+        help="Metropolis sweeps per read for the classical solvers (tabu: iterations); "
+        "default: solver-specific -- dwave derives sweeps from --anneal-time",
+    )
+    max_workers: Optional[int] = knob(
+        None,
+        flag="--workers",
+        minimum=1,
+        help="process-pool size for gauge batches (dwave), qbsolv reads and shard "
+        "dispatch; results are bit-identical to serial runs",
+    )
+    batch_gauges: bool = knob(
+        False,
+        flag="--batch-gauges",
+        help="pack the dwave gauge batch into one cross-problem kernel invocation "
+        "(deterministic per seed, but samples differ from the serial schedule)",
+    )
+    batch_shards: bool = knob(
+        False,
+        flag="--batch-shards",
+        help="pack each --solver shard round's subproblems into one kernel invocation",
+    )
+    annealing_time_us: float = knob(
+        20.0,
+        flag="--anneal-time",
+        exclusive_minimum=0.0,
+        metavar="US",
+        help="per-anneal time in microseconds for the dwave solver",
+    )
+    chain_strength: Optional[float] = knob(
+        None, help="QMASM chain coupling; None derives it (LogicalProgram.to_ising)"
+    )
+    pin_strength: Optional[float] = knob(None, help="pin bias; None uses the chain strength")
+    use_roof_duality: bool = knob(
+        False, flag=("-O", "--roof-duality"), help="elide a-priori-determined qubits"
+    )
+    embedding_tries: int = knob(16, minimum=1, help="restarts for the minor embedder")
+    embedding_seed: Optional[int] = knob(None, help="embedder seed; None uses the runner's")
+    postprocess: str = knob(
+        "optimization",
+        choices=("optimization", "none"),
+        help="optimization refines unembedded dwave samples with a short cold logical "
+        "anneal (SAPI's optimization postprocessing); none keeps majority-vote samples",
+    )
+    #: Retries, chain-strength escalation, fallback tiers and the repair
+    #: budget for hardware runs; a knob schema of its own.
+    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
+    certify: bool = knob(
+        False,
+        flag="--certify",
+        help="re-check every read (energy, gate truth tables, pins) and attach the "
+        "certificate; the CLI exits 3 on failure",
+    )
+    repair: bool = knob(
+        False,
+        flag="--repair",
+        help="with certify, polish and re-sample uncertified reads within the repair "
+        "budget (--repair implies --certify)",
+    )
+    #: The gate-level netlist certification replays (the compiler passes
+    #: its own); None limits certification to energy/pin/assertion checks.
     netlist: object = None
-    #: Relative tolerance of the certification energy comparison.
-    energy_tolerance: float = 1e-6
+    energy_tolerance: float = knob(
+        1e-6, minimum=0.0, help="relative tolerance of the certification energy check"
+    )
+
+    def __post_init__(self):
+        check(self)
 
 
 @dataclass
@@ -416,7 +457,7 @@ class FindEmbeddingStage(Stage):
 
     def run(self, artifact: RunArtifact, context: PipelineContext):
         options: RunOptions = context.options
-        policy = options.retry
+        policy = options.retry_policy
         machine = self._runner._get_machine()
         context.scratch["machine"] = machine
         source_graph = source_graph_of(artifact.solve_model)
@@ -532,7 +573,6 @@ class SampleStage(Stage):
     def run(self, artifact: RunArtifact, context: PipelineContext):
         options: RunOptions = context.options
         solver = options.solver
-        num_reads = options.num_reads
         model = artifact.solve_model
         context.scratch.setdefault("answered_by", None)
 
@@ -552,14 +592,7 @@ class SampleStage(Stage):
                 self._fall_back(artifact, context)
         else:
             artifact.sampleset = self._runner._classical_sample(
-                solver,
-                model,
-                num_reads,
-                num_sweeps=options.num_sweeps,
-                max_workers=options.max_workers,
-                kernel=options.kernel,
-                batch_shards=options.batch_shards,
-                deadline=context.deadline,
+                solver, model, options, context.deadline
             )
             context.scratch["answered_by"] = solver
         self._lift_shard_stats(artifact, context)
@@ -592,7 +625,7 @@ class SampleStage(Stage):
     def _fall_back(self, artifact: RunArtifact, context: PipelineContext) -> None:
         """Degrade through the classical tiers after hardware gave up."""
         options: RunOptions = context.options
-        policy = options.retry
+        policy = options.retry_policy
         model = artifact.solve_model
         last_error: Optional[Exception] = context.scratch.get("last_error")
         for depth, tier in enumerate(policy.fallback_solvers, start=1):
@@ -600,14 +633,7 @@ class SampleStage(Stage):
                 continue
             try:
                 artifact.sampleset = self._runner._classical_sample(
-                    tier,
-                    model,
-                    options.num_reads,
-                    num_sweeps=options.num_sweeps,
-                    max_workers=options.max_workers,
-                    kernel=options.kernel,
-                    batch_shards=options.batch_shards,
-                    deadline=context.deadline,
+                    tier, model, options, context.deadline
                 )
             except Exception as exc:  # a broken tier just deepens the fall
                 last_error = exc
@@ -674,7 +700,7 @@ class UnembedStage(Stage):
 
     def run(self, artifact: RunArtifact, context: PipelineContext):
         options: RunOptions = context.options
-        policy = options.retry
+        policy = options.retry_policy
         unembedded = unembed_sampleset(
             artifact.sampleset, artifact.embedding, artifact.solve_model
         )
@@ -943,12 +969,12 @@ class RepairStage(Stage):
             not (options.certify and options.repair)
             or artifact.certificate is None
             or artifact.certificate.ok
-            or options.retry.max_repair_rounds < 1
+            or options.retry_policy.max_repair_rounds < 1
         )
 
     def run(self, artifact: RunArtifact, context: PipelineContext):
         options: RunOptions = context.options
-        policy = options.retry
+        policy = options.retry_policy
         metrics = context.metrics
         deadline = context.deadline
         certificate = artifact.certificate
@@ -1052,8 +1078,11 @@ class RepairStage(Stage):
     ) -> bool:
         """Replace still-uncertified rows with freshly sampled reads."""
         options: RunOptions = context.options
-        policy = options.retry
-        num_reads = max(1, int(options.num_reads * policy.repair_read_factor))
+        policy = options.retry_policy
+        escalated = dataclasses.replace(
+            options,
+            num_reads=max(1, int(options.num_reads * policy.repair_read_factor)),
+        )
         answered_by = context.scratch.get("answered_by")
 
         if answered_by == "dwave" and artifact.embedding is not None:
@@ -1068,7 +1097,6 @@ class RepairStage(Stage):
                 chain_strength=chain_strength,
             )
             scaled, _factor = scale_to_hardware(physical)
-            escalated = dataclasses.replace(options, num_reads=num_reads)
             raw = self._runner._sample_with_retry(
                 machine, scaled, escalated, context
             )
@@ -1084,13 +1112,9 @@ class RepairStage(Stage):
             fresh = self._runner._classical_sample(
                 solver,
                 artifact.solve_model,
-                num_reads,
-                num_sweeps=options.num_sweeps,
-                max_workers=options.max_workers,
-                kernel=options.kernel,
-                batch_shards=options.batch_shards,
+                escalated,
+                context.deadline,
                 seed_offset=round_index,
-                deadline=context.deadline,
             )
         if not len(fresh):
             return False
@@ -1152,7 +1176,6 @@ class QmasmRunner:
         embedding_cache: cache for minor embeddings; defaults to a fresh
             in-memory :class:`EmbeddingCache`.  Pass one with
             ``enabled=False`` to always re-embed.
-        trace: optional per-stage trace-event callback.
         machines: simulated fleet size for the ``"shard"`` solver (how
             many chips sharded subproblems are dispatched across).
         fleet: optional heterogeneous fleet spec for the ``"shard"``
@@ -1170,7 +1193,6 @@ class QmasmRunner:
         machine: Optional[DWaveSimulator] = None,
         seed: Optional[int] = None,
         embedding_cache: Optional[EmbeddingCache] = None,
-        trace: Optional[TraceCallback] = None,
         machines: int = 4,
         fleet: Optional[str] = None,
         checkpoint_dir: Optional[str] = None,
@@ -1178,7 +1200,6 @@ class QmasmRunner:
     ):
         self.machine = machine
         self.seed = seed
-        self.trace = trace
         self.machines = machines
         self.fleet = fleet
         self.checkpoint_dir = checkpoint_dir
@@ -1226,7 +1247,7 @@ class QmasmRunner:
         ``runner.*`` -- the single source the stage counters and
         ``info["resilience"]`` read from.
         """
-        policy = options.retry
+        policy = options.retry_policy
         metrics = context.metrics
         delay = policy.backoff_s
         last_error: Optional[Exception] = None
@@ -1245,7 +1266,6 @@ class QmasmRunner:
                     num_spin_reversal_transforms=(
                         1 if attempt > 0 and policy.gauge_on_retry else 0
                     ),
-                    kernel=options.kernel,
                     max_workers=options.max_workers,
                     batch_gauges=options.batch_gauges,
                     deadline=context.deadline,
@@ -1263,16 +1283,14 @@ class QmasmRunner:
         self,
         solver: str,
         model: IsingModel,
-        num_reads: int,
-        num_sweeps: Optional[int] = None,
-        max_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
-        batch_shards: bool = False,
-        seed_offset: int = 0,
+        options: RunOptions,
         deadline: Optional[Deadline] = None,
+        seed_offset: int = 0,
     ) -> SampleSet:
         """One classical tier: the logical model on a software solver.
 
+        ``solver`` overrides ``options.solver`` (fallback tiers and
+        repair re-samples run a different solver than requested).
         ``seed_offset`` perturbs the sampler seed deterministically --
         repair re-sample rounds must draw *fresh* reads, not replay the
         round that produced the uncertified ones.
@@ -1280,30 +1298,27 @@ class QmasmRunner:
         seed = self.seed
         if seed is not None and seed_offset:
             seed = seed + seed_offset
+        num_reads = options.num_reads
+        sweeps = {} if options.num_sweeps is None else {"num_sweeps": options.num_sweeps}
         if solver == "sa":
-            kwargs = {} if num_sweeps is None else {"num_sweeps": num_sweeps}
             return SimulatedAnnealingSampler(seed=seed).sample(
-                model, num_reads=num_reads, kernel=kernel,
-                deadline=deadline, **kwargs
+                model, num_reads=num_reads, deadline=deadline, **sweeps
             )
         if solver == "sqa":
             from repro.solvers.sqa import PathIntegralAnnealer
 
-            kwargs = {} if num_sweeps is None else {"num_sweeps": num_sweeps}
             return PathIntegralAnnealer(seed=seed).sample(
-                model, num_reads=min(num_reads, 32), kernel=kernel,
-                deadline=deadline, **kwargs
+                model, num_reads=min(num_reads, 32), deadline=deadline, **sweeps
             )
         if solver == "exact":
             return ExactSolver().sample(model, num_lowest=num_reads)
         if solver == "tabu":
-            kwargs = {} if num_sweeps is None else {"max_iter": num_sweeps}
+            iterations = {} if options.num_sweeps is None else {"max_iter": options.num_sweeps}
             return TabuSampler(seed=seed).sample(
-                model, num_reads=num_reads, kernel=kernel,
-                deadline=deadline, **kwargs
+                model, num_reads=num_reads, deadline=deadline, **iterations
             )
         if solver == "qbsolv":
-            return QBSolv(seed=seed, max_workers=max_workers).sample(
+            return QBSolv(seed=seed, max_workers=options.max_workers).sample(
                 model, num_reads=min(num_reads, 10)
             )
         if solver == "shard":
@@ -1319,13 +1334,12 @@ class QmasmRunner:
                 properties=machine.properties,
                 machines=self.machines,
                 seed=seed,
-                max_workers=max_workers,
+                max_workers=options.max_workers,
                 fleet=self.fleet,
                 faults=injector.spec if injector is not None else None,
                 checkpoint=self.checkpoint_dir,
                 resume=self.resume,
-                kernel=kernel,
-                batch_rounds=batch_shards,
+                batch_rounds=options.batch_shards,
             ).sample(
                 model, num_reads=min(num_reads, 5), deadline=deadline
             )
@@ -1394,26 +1408,9 @@ class QmasmRunner:
         self,
         source: Union[str, Program, LogicalProgram],
         pins: Sequence[Union[str, Pin]] = (),
-        solver: str = "dwave",
-        num_reads: int = 100,
-        num_sweeps: Optional[int] = None,
-        max_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
-        batch_gauges: bool = False,
-        batch_shards: bool = False,
-        annealing_time_us: float = 20.0,
-        chain_strength: Optional[float] = None,
-        pin_strength: Optional[float] = None,
-        use_roof_duality: bool = False,
-        embedding_tries: int = 16,
-        embedding_seed: Optional[int] = None,
-        postprocess: str = "optimization",
-        retry_policy: Optional[RetryPolicy] = None,
-        certify: bool = False,
-        repair: bool = False,
-        netlist: object = None,
+        options: Optional[RunOptions] = None,
         deadline: Optional[Union[float, Deadline]] = None,
-        energy_tolerance: float = 1e-6,
+        **overrides: Any,
     ) -> RunResult:
         """Assemble and execute a QMASM program.
 
@@ -1422,60 +1419,10 @@ class QmasmRunner:
                 assembled :class:`LogicalProgram`.
             pins: extra ``--pin`` style bindings (strings like
                 ``"C[7:0] := 10001111"`` or :class:`Pin` objects).
-            solver: ``"dwave"`` (embed + anneal on the simulated 2000Q),
-                ``"sa"`` (simulated annealing on the logical problem),
-                ``"sqa"`` (path-integral simulated *quantum* annealing,
-                the Hitachi-style classical annealer of Section 2),
-                ``"exact"`` (exhaustive), ``"tabu"``, ``"qbsolv"``, or
-                ``"shard"`` (decompose across the runner's simulated
-                fleet of ``machines`` chips -- the path for programs too
-                large for any single working graph).
-            num_reads: anneals / reads to perform.
-            num_sweeps: Metropolis sweeps per read for the classical
-                solvers (``sa``/``sqa``; ``tabu`` treats it as its
-                iteration budget); None keeps each solver's default.
-                The dwave tier derives sweeps from ``annealing_time_us``.
-            max_workers: process-pool size for parallel spin-reversal
-                gauge batches (dwave), qbsolv reads, and shard dispatch;
-                results are bit-identical to serial runs.
-            kernel: force a Metropolis sweep-kernel tier --
-                ``"dense"``, ``"sparse"``, or ``"jit"`` (numba; falls
-                back to sparse with a warning when numba is absent);
-                None auto-selects per problem.  All tiers produce
-                bit-identical samples, so this only affects speed.
-            batch_gauges: pack the dwave tier's spin-reversal gauge
-                batch into one cross-problem kernel invocation instead
-                of annealing gauges one-by-one (or via a process pool).
-                Deterministic under a fixed seed, but the shared RNG
-                stream means samples differ from the serial schedule.
-            batch_shards: likewise pack each shard round's embedded
-                subproblems into one kernel invocation.
-            annealing_time_us: per-anneal time for the dwave solver.
-            chain_strength / pin_strength: see
-                :meth:`LogicalProgram.to_ising`.
-            use_roof_duality: elide a-priori-determined qubits first.
-            embedding_tries: restarts for the minor embedder.
-            embedding_seed: seed controlling the randomized embedder.
-            postprocess: ``"optimization"`` (default) refines unembedded
-                dwave samples with a short cold logical anneal -- the
-                analogue of SAPI's optimization postprocessing, standing
-                in for the collective chain dynamics a real annealer has
-                and single-spin-flip simulation lacks; ``"none"``
-                returns raw majority-vote samples.
-            retry_policy: the resilient-execution policy for hardware
-                runs (sample retries with gauge re-randomization,
-                chain-strength escalation, classical fallback tiers);
-                defaults to :class:`RetryPolicy`'s defaults.
-            certify: recompute every read's energy from the logical
-                model, replay the gate netlist (when given), and check
-                pins/assertions; the verdict lands on
-                :attr:`RunResult.certificate`.
-            repair: with ``certify``, run the self-repair loop on
-                uncertified reads (steepest-descent polish, then
-                budgeted escalated re-sampling) under the retry
-                policy's ``max_repair_rounds`` budget.
-            netlist: the gate-level netlist to replay during
-                certification (the compiler passes its own).
+            options: the run's :class:`RunOptions`; keyword overrides
+                are shorthand for its fields
+                (``runner.run(src, solver="sa", num_reads=50)``) -- pass
+                one or the other, not both.
             deadline: wall-clock budget in seconds (or a prearmed
                 :class:`~repro.core.deadline.Deadline`).  Samplers stop
                 cooperatively at sweep-batch granularity; optional
@@ -1483,41 +1430,20 @@ class QmasmRunner:
                 required stages that cannot start raise
                 :class:`~repro.core.deadline.DeadlineExceeded` carrying
                 the partial artifact and the interrupted stage name.
-            energy_tolerance: relative tolerance of the certification
-                energy comparison.
 
         Returns:
             A :class:`RunResult` with aggregated, energy-sorted
             solutions and per-stage :attr:`RunResult.stats`.
         """
-        if solver == "dwave" and postprocess not in ("none", "optimization"):
-            raise ValueError(f"unknown postprocess {postprocess!r}")
-
+        if options is None:
+            options = RunOptions(**overrides)
+        elif overrides:
+            raise TypeError("pass either options or keyword overrides, not both")
+        solver = options.solver
         logical = self._to_logical(source, pins)
         logical_model, representative = logical.to_ising(
-            chain_strength=chain_strength, pin_strength=pin_strength
-        )
-
-        options = RunOptions(
-            solver=solver,
-            num_reads=num_reads,
-            num_sweeps=num_sweeps,
-            max_workers=max_workers,
-            kernel=kernel,
-            batch_gauges=batch_gauges,
-            batch_shards=batch_shards,
-            annealing_time_us=annealing_time_us,
-            chain_strength=chain_strength,
-            pin_strength=pin_strength,
-            use_roof_duality=use_roof_duality,
-            embedding_tries=embedding_tries,
-            embedding_seed=embedding_seed,
-            postprocess=postprocess,
-            retry=retry_policy if retry_policy is not None else RetryPolicy(),
-            certify=certify,
-            repair=repair,
-            netlist=netlist,
-            energy_tolerance=energy_tolerance,
+            chain_strength=options.chain_strength,
+            pin_strength=options.pin_strength,
         )
         run_deadline: Optional[Deadline] = (
             deadline
@@ -1525,10 +1451,7 @@ class QmasmRunner:
             else Deadline(float(deadline))
         )
         context = PipelineContext(
-            options=options,
-            seed=self.seed,
-            trace=self.trace,
-            deadline=run_deadline,
+            options=options, seed=self.seed, deadline=run_deadline
         )
         artifact = RunArtifact(
             logical=logical,

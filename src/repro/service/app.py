@@ -33,16 +33,17 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.cache import CompilationCache, EmbeddingCache, stable_hash
 from repro.core.compiler import CompileOptions, VerilogAnnealerCompiler
 from repro.core.deadline import Deadline, DeadlineExceeded
+from repro.core.pipeline import FunctionStage
 from repro.core.trace import MetricsRegistry
 from repro.hdl.errors import VerilogError, format_diagnostic
 from repro.qmasm.program import QmasmError
-from repro.qmasm.runner import RunResult, json_safe
+from repro.qmasm.runner import RunOptions, RunResult, json_safe
 from repro.service.jobs import (
     Job,
     JobRequest,
@@ -61,8 +62,8 @@ _JOB_PATH_RE = re.compile(r"^/jobs/([A-Za-z0-9_\-]+)(/trace)?$")
 
 #: Chaos-testing hook: when set to a pipeline stage name (``elaborate``,
 #: ``find_embedding``, ``sample``, ...), the worker hard-exits the
-#: process (``os._exit(137)``, indistinguishable from a SIGKILL) the
-#: moment that stage begins.  The recovery kill-matrix tests use it to
+#: process (``os._exit(137)``, indistinguishable from a SIGKILL) just
+#: before that stage runs.  The recovery kill-matrix tests use it to
 #: crash the service deterministically at each pipeline stage.
 CRASH_STAGE_ENV = "REPRO_SERVICE_CRASH_STAGE"
 
@@ -77,16 +78,8 @@ def _payload_fingerprint(payload: Any) -> str:
     )
 
 
-def _crash_stage_hook() -> Optional[Callable[[Dict[str, Any]], None]]:
-    stage = os.environ.get(CRASH_STAGE_ENV)
-    if not stage:
-        return None
-
-    def hook(event: Dict[str, Any]) -> None:
-        if event.get("event") == "begin" and event.get("stage") == stage:
-            os._exit(137)
-
-    return hook
+def _crash(artifact: Any, context: Any) -> None:
+    os._exit(137)
 
 
 @dataclass
@@ -152,7 +145,7 @@ class AnnealingService:
             OrderedDict()
         )
         self._idempotency_lock = threading.Lock()
-        self._crash_hook = _crash_stage_hook()
+        self._crash_stage = os.environ.get(CRASH_STAGE_ENV) or None
         self.metrics = MetricsRegistry()
         self._metrics_lock = threading.Lock()
         self._cache_sync: Dict[str, float] = {}
@@ -467,9 +460,17 @@ class AnnealingService:
             seed=request.seed,
             cache=self.compile_cache,
             machines=self.config.machines,
-            trace=self._crash_hook,
         )
         compiler.runner.embedding_cache = self.embedding_cache
+        if self._crash_stage is not None:
+            for stages in (compiler.compile_stages, compiler.runner.run_stages):
+                names = [stage.name for stage in stages]
+                if self._crash_stage in names:
+                    index = names.index(self._crash_stage)
+                    crash = FunctionStage("crash", _crash)
+                    # Crash exactly when the named stage would start.
+                    crash.deadline_policy = stages[index].deadline_policy
+                    stages.insert(index, crash)
         return compiler
 
     def _run_request(
@@ -478,31 +479,19 @@ class AnnealingService:
         """Execute one request; returns (result, cache_warm, stages)."""
         compiler = self._make_compiler(request)
         stages: List[Dict[str, Any]] = []
-        run_kwargs = dict(
-            pins=list(request.pins),
-            solver=request.solver,
-            num_reads=request.num_reads,
-            num_sweeps=request.num_sweeps,
-            use_roof_duality=request.use_roof_duality,
-            certify=request.certify,
-            deadline=deadline,
-        )
+        pins = list(request.pins)
+        run_options = request.options(RunOptions)
         if request.language == "verilog":
-            options = CompileOptions(
-                top=request.top, unroll_steps=request.unroll_steps
+            options = request.options(CompileOptions)
+            warm = self.compile_cache.contains(
+                compiler.compile_key(request.source, options)
             )
-            machine = compiler.runner.machine
-            target = (
-                machine.topology.fingerprint() if machine is not None else "any"
-            )
-            key = CompilationCache.key_for(request.source, options, target)
-            warm = self.compile_cache.contains(key)
             program = compiler.compile(request.source, options)
             stages.extend(_stage_payload("compile", program.stats, cached=warm))
-            result = compiler.run(program, **run_kwargs)
+            result = compiler.run(program, pins, run_options, deadline)
         else:
             warm = False
-            result = compiler.runner.run(request.source, **run_kwargs)
+            result = compiler.runner.run(request.source, pins, run_options, deadline)
         # An embedding served from the shared cache is just as warm as a
         # cached compilation: the job skipped straight to sampling.
         warm = warm or result.info.get("embedding_cache") == "hit"

@@ -21,9 +21,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.core.compiler import CompileOptions
+from repro.core.options import OptionError, check_value, knob
 from repro.hdl.errors import VerilogError, format_diagnostic
 from repro.qmasm.parser import parse_pin, parse_qmasm
 from repro.qmasm.program import QmasmError
+from repro.qmasm.runner import RunOptions
 
 
 class JobState:
@@ -78,60 +81,71 @@ class ServiceError(Exception):
         return body
 
 
-#: Solvers a job may request; mirrors the CLI's --solver choices.
-ALLOWED_SOLVERS = ("dwave", "sa", "sqa", "exact", "tabu", "qbsolv", "shard")
 ALLOWED_LANGUAGES = ("verilog", "qmasm")
 
 #: Submission hard caps: a served endpoint must bound what one request
 #: can ask of the fleet (the deadline bounds wall time; these bound the
-#: requested work shape).
+#: requested work shape).  The lower bounds are the options schema's.
 MAX_NUM_READS = 100_000
 MAX_NUM_SWEEPS = 1_000_000
+MAX_UNROLL_STEPS = 64
 MAX_SOURCE_BYTES = 1_000_000
 MAX_SOLUTIONS_CAP = 256
+
+#: Wire fields that are run or compile knobs, by the options class that
+#: declares (and validates) them.
+_OPTION_FIELDS = {
+    **dict.fromkeys(
+        ("solver", "num_reads", "num_sweeps", "use_roof_duality", "certify"), RunOptions
+    ),
+    **dict.fromkeys(("top", "unroll_steps"), CompileOptions),
+}
+_CAPS = {"num_reads": MAX_NUM_READS, "num_sweeps": MAX_NUM_SWEEPS, "unroll_steps": MAX_UNROLL_STEPS}
 
 
 def _invalid(message: str, **details: Any) -> ServiceError:
     return ServiceError(400, "invalid_request", message, **details)
 
 
-def _require_int(
-    payload: Dict[str, Any],
-    key: str,
-    default: Optional[int],
-    minimum: int,
-    maximum: int,
-) -> Optional[int]:
-    value = payload.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _invalid(f"{key!r} must be an integer", field=key)
-    if not minimum <= value <= maximum:
-        raise _invalid(
-            f"{key!r} must be in [{minimum}, {maximum}], got {value}", field=key
-        )
-    return value
-
-
 @dataclass(frozen=True)
 class JobRequest:
-    """A validated submission: everything one job execution needs."""
+    """A validated submission: everything one job execution needs.
+
+    The run and compile fields are checked against the options schema
+    (:data:`_OPTION_FIELDS`) plus the service caps; the service-only
+    fields declare their own bounds.
+    """
 
     source: str
-    language: str = "verilog"
+    language: str = knob("verilog", choices=ALLOWED_LANGUAGES, help="language of 'source'")
     pins: Tuple[str, ...] = ()
     solver: str = "sa"
     num_reads: int = 100
     num_sweeps: Optional[int] = None
-    seed: Optional[int] = None
-    deadline_s: Optional[float] = None
+    seed: Optional[int] = knob(
+        None, minimum=-(2**62), maximum=2**62, help="RNG seed; None draws one at submission"
+    )
+    deadline_s: Optional[float] = knob(
+        None, exclusive_minimum=0.0, maximum=3600.0, help="wall-clock budget in seconds"
+    )
     top: Optional[str] = None
     unroll_steps: Optional[int] = None
     use_roof_duality: bool = False
     certify: bool = False
-    return_samples: bool = False
-    max_solutions: int = 16
+    return_samples: bool = knob(False, help="include the raw reads in the result")
+    max_solutions: int = knob(
+        16, minimum=1, maximum=MAX_SOLUTIONS_CAP, help="cap on the solutions reported"
+    )
+
+    def options(self, schema: type) -> Any:
+        """This request's :class:`RunOptions` or :class:`CompileOptions`."""
+        return schema(
+            **{
+                name: getattr(self, name)
+                for name, owner in _OPTION_FIELDS.items()
+                if owner is schema
+            }
+        )
 
     @classmethod
     def from_payload(cls, payload: Any) -> "JobRequest":
@@ -160,18 +174,25 @@ class JobRequest:
             raise _invalid(
                 f"'source' exceeds {MAX_SOURCE_BYTES} bytes", field="source"
             )
-        language = payload.get("language", "verilog")
-        if language not in ALLOWED_LANGUAGES:
-            raise _invalid(
-                f"'language' must be one of {', '.join(ALLOWED_LANGUAGES)}",
-                field="language",
-            )
-        solver = payload.get("solver", "sa")
-        if solver not in ALLOWED_SOLVERS:
-            raise _invalid(
-                f"'solver' must be one of {', '.join(ALLOWED_SOLVERS)}",
-                field="solver",
-            )
+
+        values: Dict[str, Any] = {}
+        for name, spec in cls.__dataclass_fields__.items():
+            if name in ("source", "pins"):
+                continue
+            value = payload.get(name, spec.default)
+            try:
+                check_value(_OPTION_FIELDS.get(name, cls), name, value)
+            except OptionError as exc:
+                raise _invalid(f"{name!r} {exc.reason}", field=name) from None
+            cap = _CAPS.get(name)
+            if cap is not None and value is not None and value > cap:
+                raise _invalid(
+                    f"{name!r} must be <= {cap}, got {value}", field=name
+                )
+            values[name] = value
+        # A JSON integer is a valid budget; the request holds it as float.
+        if values["deadline_s"] is not None:
+            values["deadline_s"] = float(values["deadline_s"])
 
         pins_raw = payload.get("pins", [])
         if isinstance(pins_raw, str):
@@ -194,39 +215,9 @@ class JobRequest:
                     ),
                 ) from exc
 
-        num_reads = _require_int(payload, "num_reads", 100, 1, MAX_NUM_READS)
-        num_sweeps = _require_int(payload, "num_sweeps", None, 1, MAX_NUM_SWEEPS)
-        seed = _require_int(payload, "seed", None, -(2**62), 2**62)
-        unroll_steps = _require_int(payload, "unroll_steps", None, 1, 64)
-        max_solutions = _require_int(
-            payload, "max_solutions", 16, 1, MAX_SOLUTIONS_CAP
-        )
-
-        deadline_s = payload.get("deadline_s")
-        if deadline_s is not None:
-            if isinstance(deadline_s, bool) or not isinstance(
-                deadline_s, (int, float)
-            ):
-                raise _invalid("'deadline_s' must be a number", field="deadline_s")
-            if not 0.0 < float(deadline_s) <= 3600.0:
-                raise _invalid(
-                    "'deadline_s' must be in (0, 3600]", field="deadline_s"
-                )
-            deadline_s = float(deadline_s)
-
-        top = payload.get("top")
-        if top is not None and not isinstance(top, str):
-            raise _invalid("'top' must be a string", field="top")
-        flags = {}
-        for key in ("use_roof_duality", "certify", "return_samples"):
-            value = payload.get(key, False)
-            if not isinstance(value, bool):
-                raise _invalid(f"{key!r} must be a boolean", field=key)
-            flags[key] = value
-
         # Syntax-check the source now: submission is the synchronous
         # moment, and the frontend errors carry line/column positions.
-        if language == "verilog":
+        if values["language"] == "verilog":
             try:
                 from repro.hdl.parser import parse as parse_verilog
 
@@ -254,20 +245,7 @@ class JobRequest:
                     diagnostic=format_diagnostic(str(exc), source="qmasm"),
                 ) from exc
 
-        return cls(
-            source=source,
-            language=language,
-            pins=tuple(pins_raw),
-            solver=solver,
-            num_reads=num_reads,
-            num_sweeps=num_sweeps,
-            seed=seed,
-            deadline_s=deadline_s,
-            top=top,
-            unroll_steps=unroll_steps,
-            max_solutions=max_solutions,
-            **flags,
-        )
+        return cls(source=source, pins=tuple(pins_raw), **values)
 
 
 @dataclass

@@ -86,6 +86,15 @@ def test_bad_source_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_missing_source_is_one_line_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.v")
+    assert main([missing]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {missing}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_stdin_input(monkeypatch, capsys):
     import io
 
@@ -270,3 +279,49 @@ def test_checkpoint_dir_round_trip(verilog_file, tmp_path, capsys):
     second = capsys.readouterr().out
     assert "Solution #1" in second
     assert first.splitlines()[-3:] == second.splitlines()[-3:]
+
+
+# ----------------------------------------------------------------------
+# Validation parity: one options schema, the same refusals everywhere.
+# ----------------------------------------------------------------------
+_OUT_OF_RANGE = [
+    # (knob, library keywords, CLI flags, service wire field)
+    ("num_sweeps", {"num_sweeps": 0}, ["--num-sweeps", "0"], "num_sweeps"),
+    ("num_reads", {"num_reads": 0}, ["--num-reads", "0"], "num_reads"),
+    ("unroll_steps", {"unroll_steps": 0}, ["--steps", "0"], "unroll_steps"),
+    # The service has no retries field.
+    ("max_sample_attempts", None, ["--retries", "0"], None),
+]
+
+
+@pytest.mark.parametrize(
+    "knob, library_kwargs, flags, wire_field",
+    _OUT_OF_RANGE,
+    ids=[case[0] for case in _OUT_OF_RANGE],
+)
+def test_out_of_range_knob_rejected_by_every_consumer(
+    knob, library_kwargs, flags, wire_field, verilog_file, capsys
+):
+    from repro import run_verilog
+    from repro.qmasm.runner import RetryPolicy
+    from repro.service.jobs import JobRequest, ServiceError
+
+    if library_kwargs is None:
+        with pytest.raises(ValueError, match=knob):
+            run_verilog(FIGURE_2A, retry_policy=RetryPolicy(**{knob: 0}))
+    else:
+        with pytest.raises(ValueError, match=knob):
+            run_verilog(FIGURE_2A, solver="exact", **library_kwargs)
+
+    code = main([verilog_file, "--run", "--solver", "sa", *flags])
+    err = capsys.readouterr().err
+    assert code != 0
+    assert err.startswith(f"error: {flags[0]}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+    if wire_field is not None:
+        with pytest.raises(ServiceError) as excinfo:
+            JobRequest.from_payload({"source": FIGURE_2A, wire_field: 0})
+        assert excinfo.value.status == 400
+        assert excinfo.value.details["field"] == wire_field

@@ -115,23 +115,6 @@ def test_pass_manager_records_counters_and_times():
         context.stats["missing"]
 
 
-def test_trace_callback_sees_begin_and_end_events():
-    events = []
-    context = PipelineContext(trace=events.append)
-    PassManager([_Doubler(), _SkipMe()]).run(1, context)
-    kinds = [(e["stage"], e["event"]) for e in events]
-    assert kinds == [
-        ("double", "begin"),
-        ("double", "end"),
-        ("skipped_stage", "begin"),
-        ("skipped_stage", "end"),
-    ]
-    end = events[1]
-    assert end["counters"] == {"value": 2}
-    assert end["skipped"] is False
-    assert events[3]["skipped"] is True
-
-
 def test_stats_format_table_lists_every_stage():
     stats = PipelineStats()
     stats.record(StageRecord("alpha", 0.25, {"cells": 7}))
