@@ -1,30 +1,27 @@
-"""Sweep-kernel performance: the three-tier lineup plus batching.
+"""Sweep-kernel performance: the dense and sparse tiers plus batching.
 
 The paper's methodology (Section 5.4) amortizes overhead over thousands
 of reads, which only pays if each read is cheap.  This benchmark anneals
 the Section 6 map-coloring Hamiltonian, minor-embedded onto a pristine
 Chimera C16 (the 2000Q working graph, degree <= 6), at 1000 reads and
-times every runnable kernel tier:
+times both kernel tiers:
 
 * ``dense``  -- the pre-kernel-refactor cost model (every flip updates
   all n local-field columns);
-* ``sparse`` -- the CSR neighbor-list kernel (flip cost O(deg));
-* ``jit``    -- the numba fused sweep loop, when numba is installed
-  (the JSON records ``null`` timings and ``numba_available: false``
-  otherwise, so the committed trajectory shows which tiers ran).
+* ``sparse`` -- the CSR neighbor-list kernel (flip cost O(deg)).
 
 A second benchmark times cross-problem batching: 8 small independent
 problems annealed sequentially vs. packed into one
 :class:`~repro.solvers.batch.BatchedSweepJob` invocation.
 
 Results are persisted to ``BENCH_kernels.json`` at the repo root.  The
-committed file doubles as a **regression baseline**: when it holds
-full-scale numbers, the run compares its relative speedups against the
-stored ones with a 20% tolerance band -- a regression beyond the band
-fails the test, while improvements pass and auto-refresh the file (the
-absolute wall times are machine-specific, so only ratios gate).  All
-tiers' samples are also asserted bit-identical at full scale (the
-exactness criterion).
+committed file doubles as a **regression baseline** (see
+``trajectory.py``): when it holds full-scale numbers, the run compares
+its relative speedups against the stored ones with a 20% tolerance band
+-- a regression beyond the band fails the test and leaves the file as
+it was, while improvements pass and refresh it (the absolute wall times
+are machine-specific, so only ratios gate).  Both tiers' samples are
+also asserted bit-identical at full scale (the exactness criterion).
 
 Set ``REPRO_BENCH_SMOKE=1`` to run a scaled-down model (C8, 50 reads);
 smoke runs still write the JSON and check exactness but skip every
@@ -37,12 +34,12 @@ Reproduce the numbers with::
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import numpy as np
+import trajectory
 
 from repro.core.mapcolor import unary_map_coloring_model
 from repro.hardware.chimera import chimera_graph
@@ -61,7 +58,6 @@ NUM_SWEEPS = 8 if SMOKE else 32
 REPEATS = 1 if SMOKE else 3
 #: Acceptance floors on this machine's own ratios.
 SPARSE_SPEEDUP_FLOOR = 5.0  # sparse vs dense
-JIT_SPEEDUP_FLOOR = 3.0  # jit vs sparse, when numba runs
 BATCH_GAIN_FLOOR = 2.0  # packed vs sequential dispatch
 #: Regression band vs the committed baseline's ratios: a new ratio may
 #: drop to 80% of the stored one before the gate trips.
@@ -114,44 +110,18 @@ def _small_problems():
     return problems
 
 
-def _load_baseline():
-    """The committed baseline, when it can gate: full-scale, new schema."""
-    if SMOKE or not RESULT_PATH.exists():
-        return None
-    try:
-        baseline = json.loads(RESULT_PATH.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if baseline.get("smoke") or "tiers" not in baseline:
-        return None
-    return baseline
-
-
-def _gate_ratio(name, new, old):
-    """Fail on a regression beyond the band; improvements always pass."""
-    if old is None or new is None:
-        return
-    floor = old * (1.0 - REGRESSION_TOLERANCE)
-    assert new >= floor, (
-        f"{name} regressed: {new:.2f}x vs committed baseline {old:.2f}x "
-        f"(tolerance floor {floor:.2f}x) -- investigate before refreshing "
-        f"BENCH_kernels.json"
-    )
-
-
 def test_kernel_tiers_speedup_on_embedded_mapcolor():
     logical, physical = _embedded_mapcolor_model()
     order, _, indptr, indices, _ = physical.to_csr()
     n = len(order)
     nnz = len(indices)
-    numba_available = kernels.jit_available()
 
     timings = {}
     results = {}
-    for tier in kernels.available_kernels():
+    for tier in kernels.KERNELS:
         timings[tier], results[tier] = _time_kernel(physical, tier)
 
-    # Exactness at scale: every runnable tier must be sample-for-sample
+    # Exactness at scale: both tiers must be sample-for-sample
     # interchangeable, not merely statistically equivalent.
     reference = results[kernels.DENSE]
     for tier, result in results.items():
@@ -163,9 +133,6 @@ def test_kernel_tiers_speedup_on_embedded_mapcolor():
         if timings[kernels.SPARSE] > 0
         else float("inf")
     )
-    jit_speedup = None
-    if numba_available and timings.get(kernels.JIT):
-        jit_speedup = timings[kernels.SPARSE] / timings[kernels.JIT]
 
     # --- cross-problem batching ------------------------------------
     problems = _small_problems()
@@ -183,12 +150,10 @@ def test_kernel_tiers_speedup_on_embedded_mapcolor():
     batched_s = time.perf_counter() - batched_start
     batch_gain = sequential_s / batched_s if batched_s > 0 else float("inf")
 
-    baseline = _load_baseline()
     payload = {
         "benchmark": "kernel_perf",
-        "version": 2,
+        "version": 3,
         "smoke": SMOKE,
-        "numba_available": numba_available,
         "problem": {
             "name": "australia-map-coloring",
             "logical_variables": len(logical),
@@ -201,13 +166,8 @@ def test_kernel_tiers_speedup_on_embedded_mapcolor():
         "num_reads": NUM_READS,
         "num_sweeps": NUM_SWEEPS,
         "repeats": REPEATS,
-        "tiers": {
-            kernels.DENSE: timings[kernels.DENSE],
-            kernels.SPARSE: timings[kernels.SPARSE],
-            kernels.JIT: timings.get(kernels.JIT),
-        },
+        "tiers": timings,
         "speedup_sparse_over_dense": sparse_speedup,
-        "speedup_jit_over_sparse": jit_speedup,
         "auto_kernel": kernels.choose_kernel(n, nnz, num_reads=NUM_READS),
         "samples_identical": True,
         "batched": {
@@ -220,55 +180,43 @@ def test_kernel_tiers_speedup_on_embedded_mapcolor():
             "throughput_gain": batch_gain,
         },
     }
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    jit_txt = f"{timings[kernels.JIT]:.3f}s" if kernels.JIT in timings else "n/a"
     print(
         f"\nkernel_perf: n={n} nnz={nnz} reads={NUM_READS} "
         f"dense={timings[kernels.DENSE]:.3f}s "
-        f"sparse={timings[kernels.SPARSE]:.3f}s jit={jit_txt} "
+        f"sparse={timings[kernels.SPARSE]:.3f}s "
         f"sparse_speedup={sparse_speedup:.1f}x "
         f"batch_gain={batch_gain:.1f}x"
     )
 
-    # The embedded problem must auto-select the fast sparse-adjacency
-    # tier for wide read batches: jit with numba, sparse without.
-    expected = kernels.JIT if numba_available else kernels.SPARSE
-    assert kernels.choose_kernel(n, nnz, num_reads=NUM_READS) == expected
-    if SMOKE:
-        return
-
-    # Absolute floors on this machine.
-    assert sparse_speedup >= SPARSE_SPEEDUP_FLOOR, (
-        f"sparse kernel speedup {sparse_speedup:.2f}x below the "
-        f"{SPARSE_SPEEDUP_FLOOR}x acceptance floor"
-    )
-    if jit_speedup is not None:
-        assert jit_speedup >= JIT_SPEEDUP_FLOOR, (
-            f"jit kernel speedup {jit_speedup:.2f}x over sparse below "
-            f"the {JIT_SPEEDUP_FLOOR}x acceptance floor"
+    # The embedded problem must auto-select the sparse tier for wide
+    # read batches.
+    assert kernels.choose_kernel(n, nnz, num_reads=NUM_READS) == kernels.SPARSE
+    if not SMOKE:
+        # Absolute floors on this machine.
+        assert sparse_speedup >= SPARSE_SPEEDUP_FLOOR, (
+            f"sparse kernel speedup {sparse_speedup:.2f}x below the "
+            f"{SPARSE_SPEEDUP_FLOOR}x acceptance floor"
         )
-    assert batch_gain >= BATCH_GAIN_FLOOR, (
-        f"batched throughput gain {batch_gain:.2f}x below the "
-        f"{BATCH_GAIN_FLOOR}x acceptance floor "
-        f"(sequential {sequential_s:.3f}s, batched {batched_s:.3f}s)"
-    )
+        assert batch_gain >= BATCH_GAIN_FLOOR, (
+            f"batched throughput gain {batch_gain:.2f}x below the "
+            f"{BATCH_GAIN_FLOOR}x acceptance floor "
+            f"(sequential {sequential_s:.3f}s, batched {batched_s:.3f}s)"
+        )
 
     # Trajectory gate vs the committed baseline (ratios only -- wall
-    # times are machine-specific).  Improvements refreshed the file
-    # above; regressions beyond the band fail here.
-    if baseline is not None:
-        _gate_ratio(
+    # times are machine-specific).
+    baseline = trajectory.load_baseline(RESULT_PATH, SMOKE, "tiers") or {}
+    trajectory.commit(RESULT_PATH, payload, [
+        trajectory.at_least(
             "sparse-over-dense speedup",
             sparse_speedup,
             baseline.get("speedup_sparse_over_dense"),
-        )
-        _gate_ratio(
-            "jit-over-sparse speedup",
-            jit_speedup,
-            baseline.get("speedup_jit_over_sparse"),
-        )
-        _gate_ratio(
+            REGRESSION_TOLERANCE,
+        ),
+        trajectory.at_least(
             "batched throughput gain",
             batch_gain,
             (baseline.get("batched") or {}).get("throughput_gain"),
-        )
+            REGRESSION_TOLERANCE,
+        ),
+    ])

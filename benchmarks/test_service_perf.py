@@ -19,11 +19,11 @@ workload and records the serving numbers:
   on completeness (100% of acknowledged jobs must reach ``done``) and
   trajectory-style on replay time per job.
 
-Results are persisted to ``BENCH_service.json`` at the repo root in the
-tracked-trajectory style of ``BENCH_kernels.json``: the committed file
-is a regression baseline -- the warm-over-cold speedup may drop at most
-20% below the stored ratio before the gate fails, while improvements
-pass and refresh the file.  Absolute latencies are machine-specific and
+Results are persisted to ``BENCH_service.json`` at the repo root through
+the trajectory gate of ``trajectory.py``: the committed file is a
+regression baseline -- the warm-over-cold speedup may drop at most 20%
+below the stored ratio before the gate fails and leaves the file as it
+was, while improvements pass and refresh the file.  Absolute latencies are machine-specific and
 never gate.
 
 The acceptance criterion rides here too: at full scale the warm p50
@@ -49,6 +49,8 @@ import threading
 import time
 import urllib.request
 from pathlib import Path
+
+import trajectory
 
 from repro.service.app import AnnealingServer, ServiceConfig
 
@@ -129,25 +131,6 @@ def _percentile(values, q):
     return ranked[index]
 
 
-def _read_results():
-    """The current BENCH_service.json contents (empty when absent/bad)."""
-    if not RESULT_PATH.exists():
-        return {}
-    try:
-        return json.loads(RESULT_PATH.read_text())
-    except (OSError, json.JSONDecodeError):
-        return {}
-
-
-def _load_baseline():
-    if SMOKE:
-        return None
-    baseline = _read_results()
-    if baseline.get("smoke") or "warm_speedup_p50" not in baseline:
-        return None
-    return baseline
-
-
 def test_service_throughput_and_cache_warmth():
     faulthandler.dump_traceback_later(600.0, exit=True)
     server = AnnealingServer(
@@ -193,8 +176,6 @@ def test_service_throughput_and_cache_warmth():
     # warm half of the workload.
     assert hit_ratio >= 0.5 - 1e-9
 
-    baseline = _load_baseline()
-    existing = _read_results()
     payload = {
         "benchmark": "service_perf",
         "version": 1,
@@ -223,9 +204,9 @@ def test_service_throughput_and_cache_warmth():
         "cache_warm_jobs": counters["service.cache_warm"],
     }
     # Preserve the recovery section (written by its own benchmark).
+    existing = trajectory.read_results(RESULT_PATH)
     if "recovery" in existing:
         payload["recovery"] = existing["recovery"]
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(
         f"\nservice_perf: {requests_per_s:.0f} req/s (healthz), "
         f"cold p50={cold_p50 * 1000:.0f}ms p99={cold_p99 * 1000:.0f}ms, "
@@ -233,25 +214,24 @@ def test_service_throughput_and_cache_warmth():
         f"warm speedup={warm_speedup:.2f}x, hit_ratio={hit_ratio:.2f}"
     )
 
-    if SMOKE:
-        # Smoke still proves warmth is plumbed, but never gates timing.
-        return
-
-    # Acceptance: the warm path must be measurably faster than cold.
-    assert warm_p50 <= cold_p50 * WARM_P50_CEILING, (
-        f"warm p50 {warm_p50:.3f}s not measurably below cold p50 "
-        f"{cold_p50:.3f}s (ceiling {WARM_P50_CEILING:.0%})"
-    )
+    # Smoke still proves warmth is plumbed, but never gates timing.
+    if not SMOKE:
+        # Acceptance: the warm path must be measurably faster than cold.
+        assert warm_p50 <= cold_p50 * WARM_P50_CEILING, (
+            f"warm p50 {warm_p50:.3f}s not measurably below cold p50 "
+            f"{cold_p50:.3f}s (ceiling {WARM_P50_CEILING:.0%})"
+        )
 
     # Trajectory gate: ratios only, with the standard 20% band.
-    if baseline is not None:
-        floor = baseline["warm_speedup_p50"] * (1.0 - REGRESSION_TOLERANCE)
-        assert warm_speedup >= floor, (
-            f"warm-over-cold speedup regressed: {warm_speedup:.2f}x vs "
-            f"committed {baseline['warm_speedup_p50']:.2f}x (floor "
-            f"{floor:.2f}x) -- investigate before refreshing "
-            f"BENCH_service.json"
-        )
+    baseline = trajectory.load_baseline(RESULT_PATH, SMOKE, "warm_speedup_p50") or {}
+    trajectory.commit(RESULT_PATH, payload, [
+        trajectory.at_least(
+            "warm-over-cold speedup",
+            warm_speedup,
+            baseline.get("warm_speedup_p50"),
+            REGRESSION_TOLERANCE,
+        ),
+    ])
 
 
 # ----------------------------------------------------------------------
@@ -359,8 +339,10 @@ def test_recovery_replay_cost_and_completeness(tmp_path):
     assert clean, "recovered service did not shut down cleanly"
 
     replay_ms_per_job = replay_s * 1000.0 / total
-    results = _read_results()
-    previous = results.get("recovery") if not SMOKE else None
+    previous = trajectory.load_baseline(
+        RESULT_PATH, SMOKE, "replay_ms_per_job", section="recovery"
+    ) or {}
+    results = trajectory.read_results(RESULT_PATH)
     results["recovery"] = {
         "smoke": SMOKE,
         "terminal_jobs": RECOVERY_TERMINAL_JOBS,
@@ -371,27 +353,20 @@ def test_recovery_replay_cost_and_completeness(tmp_path):
         "replay_ms_per_job": replay_ms_per_job,
         "startup_s": startup_s,
     }
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
     print(
         f"\nservice_recovery: {total} jobs recovered "
         f"({RECOVERY_ORPHAN_JOBS} requeued) in {replay_s * 1000:.1f}ms "
         f"({replay_ms_per_job:.2f}ms/job), 100% completed"
     )
 
-    if SMOKE:
-        return
     # Trajectory gate: wide band on replay cost per job (completeness
     # above is the hard gate; this only catches order-of-magnitude
     # regressions in the replay path).
-    if (
-        previous
-        and not previous.get("smoke")
-        and previous.get("replay_ms_per_job")
-    ):
-        ceiling = previous["replay_ms_per_job"] * RECOVERY_REGRESSION_FACTOR
-        assert replay_ms_per_job <= ceiling, (
-            f"journal replay regressed: {replay_ms_per_job:.2f}ms/job vs "
-            f"committed {previous['replay_ms_per_job']:.2f}ms/job "
-            f"(ceiling {ceiling:.2f}) -- investigate before refreshing "
-            f"BENCH_service.json"
-        )
+    trajectory.commit(RESULT_PATH, results, [
+        trajectory.at_most(
+            "journal replay ms/job",
+            replay_ms_per_job,
+            previous.get("replay_ms_per_job"),
+            RECOVERY_REGRESSION_FACTOR,
+        ),
+    ])

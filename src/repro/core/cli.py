@@ -259,6 +259,9 @@ def _run_command(args: argparse.Namespace) -> int:
     except _options.OptionError as exc:
         print(f"error: {exc.flag or exc.name}: {exc.reason}", file=sys.stderr)
         return 1
+    if args.topology_size is not None and args.topology_size < 1:
+        print(f"error: --topology-size: must be >= 1, got {args.topology_size}", file=sys.stderr)
+        return 1
 
     try:
         if args.source == "-":
@@ -280,14 +283,10 @@ def _run_command(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: --inject-fault: {exc}", file=sys.stderr)
             return 1
-    if spec is not None or args.topology != "chimera" or args.topology_size:
+    if spec is not None or args.topology != "chimera" or args.topology_size is not None:
         from repro.solvers.machine import DWaveSimulator, MachineProperties
 
-        props = MachineProperties(topology=args.topology)
-        if args.topology_size:
-            props = MachineProperties(
-                topology=args.topology, cells=args.topology_size
-            )
+        props = MachineProperties(topology=args.topology, cells=args.topology_size)
         machine = DWaveSimulator(
             properties=props, seed=args.seed, faults=spec
         )

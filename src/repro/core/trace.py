@@ -874,8 +874,8 @@ def observe_sample(
     if rate:
         registry.histogram("solver.sweeps_per_s").observe(float(rate))
         # Per-tier sweep rate: the perf-trajectory gauge the kernel
-        # benchmarks and dashboards key on (kernel.jit.sweeps_per_s vs
-        # kernel.sparse.sweeps_per_s shows the JIT speedup live).
+        # benchmarks and dashboards key on (kernel.dense.sweeps_per_s vs
+        # kernel.sparse.sweeps_per_s shows the sparse speedup live).
         if kernel:
             registry.gauge(f"kernel.{kernel}.sweeps_per_s").set(float(rate))
     if len(sampleset):

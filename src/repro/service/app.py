@@ -28,6 +28,7 @@ import os
 import re
 import secrets
 import signal
+import sys
 import threading
 import time
 from collections import OrderedDict
@@ -931,7 +932,22 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     jobs finish, the journal is flushed, and the exit code reports
     whether the wind-down was clean.
     """
+    from repro.hardware.registry import available_topologies
+
     args = build_serve_parser().parse_args(argv)
+    # Every dwave/shard job builds its machine from these two flags, so
+    # a bad value must stop the server before it accepts any job.
+    families = available_topologies()
+    if args.topology not in families:
+        print(
+            f"error: --topology: must be one of {', '.join(families)}, "
+            f"got {args.topology!r}",
+            file=sys.stderr,
+        )
+        return 1
+    if args.topology_size is not None and args.topology_size < 1:
+        print(f"error: --topology-size: must be >= 1, got {args.topology_size}", file=sys.stderr)
+        return 1
     config = ServiceConfig(
         host=args.host,
         port=args.port,

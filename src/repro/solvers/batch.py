@@ -27,10 +27,11 @@ proposal count unchanged -- no numpy win at all.  Instead:
   heterogeneous coefficient scales keep their own neal-style schedule.
 
 A sweep of the packed matrix therefore costs K problems' progress for
-one Python/numpy proposal loop (or one compiled call on the ``jit``
-tier), and ragged read counts / variable counts are handled naturally.
-Throughput: >= 2x over sequential dispatch for 8 small problems in pure
-numpy (see ``benchmarks/test_kernel_perf.py``), more with numba.
+one Python/numpy proposal loop, and ragged read counts / variable
+counts are handled naturally.  Throughput: >= 2x over sequential
+dispatch for 8 small problems (see ``benchmarks/test_kernel_perf.py``).
+The stacked layout has one implementation; its results report the
+``sparse`` kernel, whose neighbor-list update it generalizes.
 
 The batch is a *different RNG-consumption pattern* than K sequential
 anneals (one shared stream drives the packed matrix), so batched runs
@@ -67,21 +68,11 @@ class BatchedSweepJob:
     from fresh random states drawn from the job's RNG stream.
     """
 
-    def __init__(self, seed: Optional[int] = None, kernel: Optional[str] = None):
+    def __init__(self, seed: Optional[int] = None):
         """Args:
             seed: seed for the job's single shared RNG stream.
-            kernel: ``"jit"`` / ``"sparse"`` / None (auto: jit when
-                numba is available).  The stacked layout has no dense
-                tier -- ``"dense"`` is accepted and mapped to the
-                stacked numpy path, and ``"jit"`` without numba warns
-                once and runs the numpy path.
         """
-        if kernel is not None and kernel not in kernels.KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {kernels.KERNELS}"
-            )
         self._rng = np.random.default_rng(seed)
-        self.kernel = kernel
         self._problems: List[Tuple[IsingModel, int, Optional[Tuple[float, float]]]] = []
 
     def add(
@@ -111,15 +102,6 @@ class BatchedSweepJob:
     def __len__(self) -> int:
         return len(self._problems)
 
-    def _resolve_tier(self) -> str:
-        """``jit`` when runnable, else the stacked numpy path (``sparse``)."""
-        if self.kernel == kernels.JIT or self.kernel is None:
-            if kernels.jit_available():
-                return kernels.JIT
-            if self.kernel == kernels.JIT:
-                kernels._warn_jit_fallback()
-        return kernels.SPARSE
-
     def run(self, num_sweeps: int = 1000, deadline=None) -> List[SampleSet]:
         """Anneal every queued problem; one energy-sorted SampleSet each.
 
@@ -134,7 +116,6 @@ class BatchedSweepJob:
         """
         if not self._problems:
             return []
-        tier = self._resolve_tier()
 
         csrs = [model.to_csr() for model, _, _ in self._problems]
         sizes = [len(order) for (order, _, _, _, _) in csrs]
@@ -197,16 +178,10 @@ class BatchedSweepJob:
                 )
 
         # --- the packed anneal -----------------------------------------
-        if tier == kernels.JIT:
-            accepted, completed = self._run_jit(
-                spins, fields, bindptr, bindices, bdata, prob_of_row,
-                betas, deadline,
-            )
-        else:
-            accepted, completed = self._run_numpy(
-                spins, fields, bindptr, bindices, bdata, prob_of_row,
-                betas, deadline,
-            )
+        accepted, completed = self._run_numpy(
+            spins, fields, bindptr, bindices, bdata, prob_of_row,
+            betas, deadline,
+        )
         elapsed = time.perf_counter() - start_time
 
         # --- unpack ----------------------------------------------------
@@ -220,7 +195,7 @@ class BatchedSweepJob:
             r0, r1 = row_starts[p], row_starts[p + 1]
             info = {
                 "solver": "batched-sa",
-                "kernel": tier,
+                "kernel": kernels.SPARSE,
                 "num_reads": num_reads,
                 "num_sweeps": num_sweeps,
                 "beta_range": beta_ranges[p],
@@ -249,15 +224,15 @@ class BatchedSweepJob:
                 problems=num_problems,
                 rows=total_rows,
                 variables=max_n,
-                kernel=tier,
+                kernel=kernels.SPARSE,
                 num_sweeps=num_sweeps,
             )
             registry = _trace.metrics()
             registry.counter("solver.batch.jobs").inc()
             registry.counter("solver.batch.problems").inc(num_problems)
-            registry.counter(f"solver.kernel.{tier}").inc()
+            registry.counter(f"solver.kernel.{kernels.SPARSE}").inc()
             if sweep_rate:
-                registry.gauge(f"kernel.{tier}.sweeps_per_s").set(sweep_rate)
+                registry.gauge(f"kernel.{kernels.SPARSE}.sweeps_per_s").set(sweep_rate)
         return results
 
     def _run_numpy(
@@ -299,70 +274,16 @@ class BatchedSweepJob:
             completed += 1
         return accepted, completed
 
-    def _run_jit(
-        self, spins, fields, bindptr, bindices, bdata, prob_of_row,
-        betas, deadline,
-    ) -> Tuple[int, int]:
-        """Compiled twin of :meth:`_run_numpy`, chunked like the jit tier.
-
-        Chunks never cross a DEADLINE_SWEEP_BATCH boundary, so deadline
-        polls land at the same sweep indices as the numpy path, and the
-        RNG stream (permutation + log-uniform block per sweep) is
-        consumed in the identical order -- the two paths are
-        sample-for-sample identical for the same job seed.
-        """
-        jit_mod = kernels._load_jit()
-        num_sweeps = betas.shape[0]
-        total_rows, n = spins.shape
-        max_chunk = max(
-            1,
-            min(
-                kernels.DEADLINE_SWEEP_BATCH,
-                kernels.JIT_CHUNK_ELEMENTS // max(1, n * total_rows),
-            ),
-        )
-        accepted = 0
-        sweep = 0
-        while sweep < num_sweeps:
-            if (
-                deadline is not None
-                and sweep % kernels.DEADLINE_SWEEP_BATCH == 0
-                and deadline.expired()
-            ):
-                break
-            window_end = min(
-                num_sweeps,
-                sweep
-                + kernels.DEADLINE_SWEEP_BATCH
-                - (sweep % kernels.DEADLINE_SWEEP_BATCH),
-            )
-            chunk = min(max_chunk, window_end - sweep)
-            perms = np.empty((chunk, n), dtype=np.int64)
-            log_u = np.empty((chunk, n, total_rows), dtype=float)
-            for c in range(chunk):
-                perms[c] = self._rng.permutation(n)
-                kernels.log_uniforms(self._rng, (n, total_rows), out=log_u[c])
-            accepted += int(
-                jit_mod.batched_metropolis_chunk(
-                    spins, fields, bindptr, bindices, bdata, prob_of_row,
-                    perms, log_u,
-                    np.ascontiguousarray(betas[sweep : sweep + chunk]),
-                )
-            )
-            sweep += chunk
-        return accepted, sweep
-
 
 def sample_batched(
     models,
     num_reads: int = 25,
     num_sweeps: int = 1000,
     seed: Optional[int] = None,
-    kernel: Optional[str] = None,
     deadline=None,
 ) -> List[SampleSet]:
     """One-shot convenience: anneal a list of models in one packed job."""
-    job = BatchedSweepJob(seed=seed, kernel=kernel)
+    job = BatchedSweepJob(seed=seed)
     for model in models:
         job.add(model, num_reads=num_reads)
     return job.run(num_sweeps=num_sweeps, deadline=deadline)

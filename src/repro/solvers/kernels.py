@@ -9,44 +9,31 @@ neighbors are few -- Chimera C16 qubits have degree <= 6, so >99% of a
 dense 2048 x 2048 J matrix is zeros -- which makes the dense
 ``O(num_reads * n)``-per-flip update the dominant cost.
 
-This module centralizes the sweep primitives with three interchangeable
+This module centralizes the sweep primitives with two interchangeable
 tiers:
 
 * ``dense`` -- updates against a dense row of the J matrix (fast for
   small or high-density models, where BLAS beats indexing overhead);
 * ``sparse`` -- updates only the CSR neighbor list of the flipped spin
-  (``IsingModel.to_csr()``), turning a flip into ``O(num_reads * deg)``;
-* ``jit`` -- a numba-compiled fused sweep loop over the same CSR
-  adjacency (``repro.solvers._kernels_jit``), removing the per-proposal
-  Python/numpy dispatch that dominates the sparse tier.  Optional: when
-  numba is not importable (or ``REPRO_NO_NUMBA`` is set) the tier
-  silently degrades to ``sparse`` after a single RuntimeWarning.
+  (``IsingModel.to_csr()``), turning a flip into ``O(num_reads * deg)``.
 
-All tiers are **bit-identical**: they share the same initial-field
+Both tiers are **bit-identical**: they share the same initial-field
 computation, the same accept rule, and the same RNG consumption
-pattern.  The dense update only ever adds exact zeros where the sparse
-update touches nothing, and the JIT loop is written so that every
-floating-point operation matches the numpy expression element for
-element.  To make that possible the Metropolis accept runs in the *log
+pattern, and the dense update only ever adds exact zeros where the
+sparse update touches nothing.  The Metropolis accept runs in the *log
 domain*: instead of ``u < exp(min(2 beta s_i f_i, 0))`` we test
-``log(u) < min(2 beta s_i f_i, 0)``, with the log taken by numpy on the
-whole uniform block *outside* the compiled loop.  The compiled code
-then contains no transcendental calls at all, so there is no numpy-SIMD
-vs libm ULP mismatch to worry about -- identity holds by construction,
-not by luck.  (The two accept rules are mathematically equivalent;
-``u = 0`` maps to ``log(u) = -inf`` which is still always accepted.)
+``log(u) < min(2 beta s_i f_i, 0)``, with the log taken on the whole
+uniform block at once.  (The two accept rules are mathematically
+equivalent; ``u = 0`` maps to ``log(u) = -inf`` which is still always
+accepted.)
 
 ``choose_kernel`` picks the tier automatically from the model's size,
 density, and read-batch width; every sampler accepts
-``kernel="dense"``/``"sparse"``/``"jit"`` to force one, and
-``available_kernels()`` reports which tiers can actually run in this
-interpreter.
+``kernel="dense"``/``"sparse"`` to force one.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,8 +41,7 @@ import numpy as np
 #: Kernel names.
 DENSE = "dense"
 SPARSE = "sparse"
-JIT = "jit"
-KERNELS = (DENSE, SPARSE, JIT)
+KERNELS = (DENSE, SPARSE)
 
 #: Below this variable count the dense kernel always wins: the whole J
 #: matrix fits in cache and BLAS/vector ops beat per-row indexing.
@@ -77,59 +63,6 @@ DENSE_BATCH_CROSSOVER_VARIABLES = 2048
 #: of ``spins`` at ``rows`` and updates ``fields`` incrementally.
 FlipUpdater = Callable[[np.ndarray, np.ndarray, int, np.ndarray], None]
 
-# Lazy numba probe, shared by choose_kernel / available_kernels / the
-# dispatchers.  "checked" flips on first probe; "warned" makes the
-# jit-requested-but-unavailable fallback a single RuntimeWarning per
-# process rather than one per sample call.
-_JIT_STATE = {"module": None, "checked": False, "warned": False}
-
-
-def _load_jit():
-    """Import the numba tier once; None when numba is unavailable.
-
-    Honors ``REPRO_NO_NUMBA`` (any non-empty value) so CI can prove the
-    fallback path stays green on hosts that *do* have numba installed.
-    """
-    state = _JIT_STATE
-    if not state["checked"]:
-        state["checked"] = True
-        if not os.environ.get("REPRO_NO_NUMBA"):
-            try:
-                from repro.solvers import _kernels_jit
-
-                state["module"] = _kernels_jit
-            except ImportError:
-                state["module"] = None
-    return state["module"]
-
-
-def _warn_jit_fallback() -> None:
-    if not _JIT_STATE["warned"]:
-        _JIT_STATE["warned"] = True
-        warnings.warn(
-            "the 'jit' kernel requires numba (pip install 'repro[jit]'); "
-            "falling back to the 'sparse' kernel",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def jit_available() -> bool:
-    """True when the numba tier can run in this interpreter."""
-    return _load_jit() is not None
-
-
-def available_kernels() -> tuple:
-    """The kernel tiers that can actually run here, in speed order.
-
-    Always contains ``dense`` and ``sparse``; contains ``jit`` only when
-    numba imports cleanly and ``REPRO_NO_NUMBA`` is unset.
-    """
-    if jit_available():
-        return (DENSE, SPARSE, JIT)
-    return (DENSE, SPARSE)
-
-
 def choose_kernel(
     num_variables: int,
     nnz: int,
@@ -138,13 +71,11 @@ def choose_kernel(
 ) -> str:
     """Pick a sweep tier: explicit request, or the tuned crossover.
 
-    The automatic crossover (re-tuned for the three-tier lineup):
+    The automatic crossover:
 
     1. tiny models (``n < SPARSE_MIN_VARIABLES``) or dense models
        (``nnz/n^2 > SPARSE_MAX_DENSITY``) -> ``dense``;
-    2. otherwise ``jit`` when numba is available -- the fused loop beats
-       both numpy tiers at every size/width measured;
-    3. otherwise ``sparse``, *except* that narrow read batches
+    2. otherwise ``sparse``, *except* that narrow read batches
        (``num_reads <= DENSE_MAX_BATCH_READS`` on models up to
        ``DENSE_BATCH_CROSSOVER_VARIABLES`` variables) take ``dense``:
        with 1-4 rows in flight the np.ix_ gather/scatter per flip costs
@@ -153,10 +84,7 @@ def choose_kernel(
     Args:
         num_variables: model size n.
         nnz: stored CSR entries (2x the non-zero coupling count).
-        kernel: ``"dense"``/``"sparse"``/``"jit"`` to force a tier, or
-            None.  Requesting ``"jit"`` without numba warns once and
-            returns ``"sparse"`` (the result names the tier that will
-            actually run).
+        kernel: ``"dense"``/``"sparse"`` to force a tier, or None.
         num_reads: read-batch width of the upcoming sweep calls, when
             the caller knows it.  None preserves the width-agnostic
             behavior.
@@ -166,17 +94,12 @@ def choose_kernel(
             raise ValueError(
                 f"unknown kernel {kernel!r}; expected one of {KERNELS}"
             )
-        if kernel == JIT and _load_jit() is None:
-            _warn_jit_fallback()
-            return SPARSE
         return kernel
     if num_variables < SPARSE_MIN_VARIABLES:
         return DENSE
     density = nnz / float(num_variables * num_variables)
     if density > SPARSE_MAX_DENSITY:
         return DENSE
-    if _load_jit() is not None:
-        return JIT
     if (
         num_reads is not None
         and num_reads <= DENSE_MAX_BATCH_READS
@@ -245,19 +168,16 @@ def batched_energies(
     return linear + quad + offset
 
 
-def log_uniforms(
-    rng: np.random.Generator, shape, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def log_uniforms(rng: np.random.Generator, shape) -> np.ndarray:
     """Draw a uniform block and return its elementwise log.
 
     This is THE accept-threshold draw shared by every tier: one uniform
-    per (proposal, read), logged in numpy so the compiled tier never
-    calls a transcendental.  ``u = 0`` maps to ``-inf`` (still a
+    per (proposal, read).  ``u = 0`` maps to ``-inf`` (still a
     guaranteed accept), so the divide-by-zero warning is suppressed.
     """
     uniforms = rng.random(shape)
     with np.errstate(divide="ignore"):
-        return np.log(uniforms, out=out)
+        return np.log(uniforms)
 
 
 def make_flip_updater(
@@ -271,10 +191,9 @@ def make_flip_updater(
 
     The returned callable flips ``spins[rows, i]`` and applies the
     incremental field update ``f_j -= 2 J_ij s_i^old`` -- to every
-    column (dense) or only to ``i``'s CSR neighbors (sparse/jit).  All
-    three are bit-identical because the dense row is zero off the
-    neighbor list (``x - 0.0 == x`` exactly) and the jit loop performs
-    the same per-element multiply in the same order.
+    column (dense) or only to ``i``'s CSR neighbors (sparse).  Both
+    are bit-identical because the dense row is zero off the neighbor
+    list (``x - 0.0 == x`` exactly).
     """
     if kernel == DENSE:
         if dense_j is None:
@@ -284,19 +203,6 @@ def make_flip_updater(
             old = spins[rows, i]
             spins[rows, i] = -old
             fields[rows, :] -= (2.0 * old)[:, None] * dense_j[i][None, :]
-
-        return flip
-    if kernel == JIT:
-        jit_mod = _load_jit()
-        if jit_mod is None:
-            _warn_jit_fallback()
-            return make_flip_updater(SPARSE, indptr, indices, data)
-
-        def flip(spins, fields, i, rows):
-            jit_mod.flip_rows(
-                spins, fields, int(i), np.ascontiguousarray(rows),
-                indptr, indices, data,
-            )
 
         return flip
     if kernel != SPARSE:
@@ -337,20 +243,6 @@ def make_mixed_flip_updater(
             fields[rows, :] -= (2.0 * old)[:, None] * dense_j[cols, :]
 
         return flip
-    if kernel == JIT:
-        jit_mod = _load_jit()
-        if jit_mod is None:
-            _warn_jit_fallback()
-            return make_mixed_flip_updater(SPARSE, indptr, indices, data)
-
-        def flip(spins, fields, rows, cols):
-            jit_mod.flip_mixed(
-                spins, fields,
-                np.ascontiguousarray(rows), np.ascontiguousarray(cols),
-                indptr, indices, data,
-            )
-
-        return flip
     if kernel != SPARSE:
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
 
@@ -370,17 +262,8 @@ def make_mixed_flip_updater(
 
 #: How many sweeps run between deadline polls: the sweep-batch
 #: granularity of cooperative cancellation.  A deadline-bounded anneal
-#: can overshoot its budget by at most this many sweeps.  The JIT tier
-#: keeps the same contract by chunking its compiled calls so that
-#: control returns to Python exactly at these sweep boundaries.
+#: can overshoot its budget by at most this many sweeps.
 DEADLINE_SWEEP_BATCH = 16
-
-#: Memory bound on the JIT tier's precomputed log-uniform block:
-#: chunk_sweeps = clamp(JIT_CHUNK_ELEMENTS / (n * num_reads), 1,
-#: DEADLINE_SWEEP_BATCH).  2^22 float64s = 32 MB -- large enough that
-#: full 16-sweep chunks run up to n*reads ~ 256k, small enough never to
-#: blow the cache budget of a pool worker.
-JIT_CHUNK_ELEMENTS = 1 << 22
 
 
 def metropolis_sweeps(
@@ -405,8 +288,7 @@ def metropolis_sweeps(
     consumes one uniform per read (drawn per sweep in a single block),
     so acceptance math never feeds back into the RNG stream.  The
     accept test runs in the log domain (``log(u) < min(2 beta s f,
-    0)``) -- see the module docstring for why that choice makes the
-    numpy and compiled tiers bit-identical by construction.
+    0)``), see the module docstring.
 
     Args:
         deadline: optional :class:`~repro.core.deadline.Deadline`; the
@@ -446,95 +328,3 @@ def metropolis_sweeps(
         stats["sweeps_completed"] = completed
     return accepted
 
-
-def _jit_metropolis_sweeps(
-    rng: np.random.Generator,
-    spins: np.ndarray,
-    fields: np.ndarray,
-    betas: np.ndarray,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    jit_mod,
-    deadline=None,
-    stats: Optional[dict] = None,
-) -> int:
-    """Fused-loop twin of :func:`metropolis_sweeps` on the numba tier.
-
-    Permutations and log-uniforms are pre-drawn in numpy -- in exactly
-    the per-sweep order the numpy tier consumes them -- then handed to
-    the compiled chunk kernel.  Chunks never cross a
-    :data:`DEADLINE_SWEEP_BATCH` boundary, so ``deadline.expired()`` is
-    polled at precisely the same sweep indices (and the same number of
-    times) as the numpy loop, and are additionally capped at
-    :data:`JIT_CHUNK_ELEMENTS` staged accept thresholds to bound memory.
-    """
-    n = spins.shape[1]
-    num_reads = spins.shape[0]
-    total = len(betas)
-    betas_arr = np.ascontiguousarray(betas, dtype=float)
-    max_chunk = max(1, min(DEADLINE_SWEEP_BATCH, JIT_CHUNK_ELEMENTS // max(1, n * num_reads)))
-    accepted = 0
-    sweep = 0
-    while sweep < total:
-        if (
-            deadline is not None
-            and sweep % DEADLINE_SWEEP_BATCH == 0
-            and deadline.expired()
-        ):
-            break
-        window_end = min(
-            total,
-            sweep + DEADLINE_SWEEP_BATCH - (sweep % DEADLINE_SWEEP_BATCH),
-        )
-        chunk = min(max_chunk, window_end - sweep)
-        perms = np.empty((chunk, n), dtype=np.int64)
-        log_u = np.empty((chunk, n, num_reads), dtype=float)
-        for c in range(chunk):
-            perms[c] = rng.permutation(n)
-            log_uniforms(rng, (n, num_reads), out=log_u[c])
-        accepted += int(
-            jit_mod.metropolis_chunk(
-                spins, fields, indptr, indices, data,
-                perms, log_u, betas_arr[sweep:sweep + chunk],
-            )
-        )
-        sweep += chunk
-    if stats is not None:
-        stats["sweeps_completed"] = sweep
-    return accepted
-
-
-def run_metropolis_sweeps(
-    rng: np.random.Generator,
-    spins: np.ndarray,
-    fields: np.ndarray,
-    betas: np.ndarray,
-    kernel: str,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    dense_j: Optional[np.ndarray] = None,
-    deadline=None,
-    stats: Optional[dict] = None,
-) -> int:
-    """Tier dispatcher for a full Metropolis anneal.
-
-    ``jit`` runs the fused compiled loop; ``dense``/``sparse`` build the
-    matching flip updater and run the shared numpy loop.  Results are
-    bit-identical across tiers for the same rng state.
-    """
-    if kernel == JIT:
-        jit_mod = _load_jit()
-        if jit_mod is None:
-            _warn_jit_fallback()
-            kernel = SPARSE
-        else:
-            return _jit_metropolis_sweeps(
-                rng, spins, fields, betas, indptr, indices, data,
-                jit_mod, deadline=deadline, stats=stats,
-            )
-    flip = make_flip_updater(kernel, indptr, indices, data, dense_j)
-    return metropolis_sweeps(
-        rng, spins, fields, betas, flip, deadline=deadline, stats=stats
-    )

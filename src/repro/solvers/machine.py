@@ -69,10 +69,10 @@ def _anneal_gauge_batch(jobs, deadline=None) -> List[Tuple[List, np.ndarray, str
     """
     from repro.solvers.batch import BatchedSweepJob
 
-    _, _, num_sweeps, first_seed, kernel, budget = jobs[0]
+    _, _, num_sweeps, first_seed, _kernel, budget = jobs[0]
     if deadline is None and budget is not None:
         deadline = budget.start()
-    batch = BatchedSweepJob(seed=first_seed, kernel=kernel)
+    batch = BatchedSweepJob(seed=first_seed)
     for programmed, batch_reads, _sweeps, _seed, _kernel, _budget in jobs:
         batch.add(programmed, num_reads=batch_reads)
     results = []
@@ -230,7 +230,8 @@ class DWaveSimulator:
                 the problem is mathematically unchanged but systematic
                 analog biases decorrelate across gauges.
             kernel: force the annealing core's sweep tier
-                (``"dense"``/``"sparse"``/``"jit"``); None auto-selects.
+                (``"dense"``/``"sparse"``); None auto-selects.  Ignored
+                by ``batch_gauges``, whose stacked layout has one tier.
             max_workers: run the gauge batches in a process pool of this
                 size.  All randomness (gauges, analog noise, per-batch
                 core seeds) is drawn from the simulator RNG *before*

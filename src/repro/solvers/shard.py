@@ -200,10 +200,11 @@ class ShardSolver:
             clauses drive the deterministic fault plan.
         health_policy: quarantine thresholds
             (:class:`~repro.solvers.fleet.HealthPolicy`).
-        kernel: force the sweep tier (``"dense"``/``"sparse"``/
-            ``"jit"``) inside every shard's annealing core and the tabu
-            fallback; None auto-selects per shard.  Tiers are
-            bit-identical, so this never changes answers.
+        kernel: force the sweep tier (``"dense"``/``"sparse"``) inside
+            every shard's annealing core and the tabu fallback; None
+            auto-selects per shard.  Tiers are bit-identical, so this
+            never changes answers.  Ignored by ``batch_rounds``, whose
+            stacked layout has one tier.
         batch_rounds: pack each round's embedded shards into one
             :class:`~repro.solvers.batch.BatchedSweepJob` kernel
             invocation instead of one machine call (or pool worker) per
@@ -713,7 +714,7 @@ class ShardSolver:
                  reads, seed, budget)
             )
         for num_sweeps, entries in groups.items():
-            batch = BatchedSweepJob(seed=entries[0][5], kernel=self.kernel)
+            batch = BatchedSweepJob(seed=entries[0][5])
             for (_i, _emb, _sub, _scaled, programmed, _cs, reads,
                  _seed, _budget) in entries:
                 batch.add(programmed, num_reads=reads)

@@ -73,12 +73,9 @@ class PathIntegralAnnealer:
             transverse_field: (initial, final) field strengths A; the
                 initial value should dominate the problem couplings, the
                 final value should be ~0.
-            kernel: ``"dense"``/``"sparse"``/``"jit"`` to force a sweep
-                tier; None picks by model size, density, and batch width
-                (rows here = reads x Trotter slices).  The jit tier
-                compiles the flip updater only -- SQA's accept math
-                consumes RNG conditionally on the uphill count, so the
-                accept loop stays in numpy for all tiers.
+            kernel: ``"dense"``/``"sparse"`` to force a sweep tier;
+                None picks by model size, density, and batch width
+                (rows here = reads x Trotter slices).
             deadline: optional :class:`~repro.core.deadline.Deadline`;
                 the Monte Carlo loop polls it once per sweep (PIMC
                 sweeps span all slices, so one sweep *is* the batch)

@@ -48,11 +48,11 @@ class TabuSampler:
             tenure: tabu tenure (iterations a flipped variable stays
                 frozen); defaults to ``min(20, n // 4 + 1)``.
             max_iter: flip iterations per restart.
-            kernel: ``"dense"``/``"sparse"``/``"jit"`` to force a
-                field-update tier; None picks by model size and density
-                with an effective read width of 1 -- the search flips
-                one row at a time, so narrow-batch dense wins on
-                mid-sized models when numba is absent.
+            kernel: ``"dense"``/``"sparse"`` to force a field-update
+                tier; None picks by model size and density with an
+                effective read width of 1 -- the search flips one row
+                at a time, so narrow-batch dense wins on mid-sized
+                models.
             deadline: optional :class:`~repro.core.deadline.Deadline`;
                 checked between restarts and every 64 iterations inside
                 a search.  Expiry stops cleanly: interrupted restarts

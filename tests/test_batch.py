@@ -93,7 +93,7 @@ def test_ragged_reads_and_sizes():
         assert result.info["batch_index"] == p
         assert result.info["batch_size"] == 3
         assert result.info["solver"] == "batched-sa"
-        assert result.info["kernel"] in kernels.KERNELS
+        assert result.info["kernel"] == kernels.SPARSE
 
 
 def test_per_problem_beta_range_override():
@@ -107,38 +107,11 @@ def test_per_problem_beta_range_override():
 
 def test_empty_job_and_validation():
     assert BatchedSweepJob().run() == []
-    with pytest.raises(ValueError):
-        BatchedSweepJob(kernel="blas")
     job = BatchedSweepJob()
     with pytest.raises(ValueError):
         job.add(_chain(3), num_reads=0)
     with pytest.raises(ValueError):
         job.add(_chain(3), beta_range=(2.0, 1.0))
-
-
-def test_explicit_jit_without_numba_warns(monkeypatch):
-    monkeypatch.setitem(kernels._JIT_STATE, "checked", True)
-    monkeypatch.setitem(kernels._JIT_STATE, "module", None)
-    monkeypatch.setitem(kernels._JIT_STATE, "warned", False)
-    job = BatchedSweepJob(seed=0, kernel="jit")
-    job.add(_chain(4), num_reads=2)
-    with pytest.warns(RuntimeWarning, match="requires numba"):
-        (result,) = job.run(num_sweeps=10)
-    assert result.info["kernel"] == "sparse"
-
-
-@pytest.mark.skipif(not kernels.jit_available(), reason="numba not installed")
-def test_batched_jit_matches_numpy_bitwise():
-    models = [_random_model(10, 8), _random_model(25, 9), _chain(7)]
-
-    def run(kernel):
-        return sample_batched(
-            models, num_reads=6, num_sweeps=35, seed=13, kernel=kernel
-        )
-
-    for a, b in zip(run("sparse"), run("jit")):
-        _assert_identical(a, b)
-        assert b.info["kernel"] == "jit"
 
 
 # ----------------------------------------------------------------------

@@ -281,6 +281,15 @@ def test_checkpoint_dir_round_trip(verilog_file, tmp_path, capsys):
     assert first.splitlines()[-3:] == second.splitlines()[-3:]
 
 
+@pytest.mark.parametrize("size", ["0", "-2"])
+def test_topology_size_below_one_is_one_line_error(verilog_file, size, capsys):
+    code = main([verilog_file, "--run", "--solver", "sa", "--topology-size", size])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: --topology-size: must be >= 1, got {size}\n"
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # Validation parity: one options schema, the same refusals everywhere.
 # ----------------------------------------------------------------------

@@ -3,21 +3,14 @@
 Three invariants, per the sparse-kernel acceptance criteria:
 
 1. a fixed seed yields bit-identical SampleSets across runs;
-2. the dense, sparse, and jit sweep kernels are sample-for-sample
+2. the dense and sparse sweep kernels are sample-for-sample
    identical (they share the accept logic and per-sweep RNG draw
    order; the dense field update only adds exact zeros where the
-   sparse one touches nothing, and the jit tier replays the same
-   staged log-uniform decisions scalar-by-scalar);
+   sparse one touches nothing);
 3. ``max_workers > 1`` (process-pool gauge batches / qbsolv reads) is
    bit-identical to serial, because every seed, gauge, and noise draw
    happens in the parent RNG before dispatch.
-
-The jit legs run whether or not numba is installed: without it the
-explicit ``kernel="jit"`` request falls back to sparse (with a
-warning), which must still be identical to dense.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -78,18 +71,14 @@ def test_fixed_seed_is_bit_reproducible(name):
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
-@pytest.mark.parametrize("kernel", ["sparse", "jit"])
+@pytest.mark.parametrize("kernel", ["sparse"])
 def test_kernel_tiers_identical(name, kernel):
     run = SOLVERS[name]
     dense = run(42, "dense")
     assert dense.info.get("kernel", "dense") == "dense"
-    with warnings.catch_warnings():
-        # explicit jit without numba warns once before falling back
-        warnings.simplefilter("ignore", RuntimeWarning)
-        other = run(42, kernel)
+    other = run(42, kernel)
     _assert_identical(dense, other)
-    # without numba an explicit jit request reports the sparse fallback
-    assert other.info.get("kernel", kernel) in (kernel, "sparse")
+    assert other.info.get("kernel", kernel) == kernel
 
 
 def test_auto_kernel_selects_sparse_on_embedded_scale_model():
@@ -99,7 +88,7 @@ def test_auto_kernel_selects_sparse_on_embedded_scale_model():
     wide = SimulatedAnnealingSampler(seed=0).sample(
         _sparse_model(), num_reads=8, num_sweeps=5
     )
-    assert wide.info["kernel"] in ("sparse", "jit")
+    assert wide.info["kernel"] == "sparse"
     narrow = SimulatedAnnealingSampler(seed=0).sample(
         _sparse_model(), num_reads=2, num_sweeps=5
     )
@@ -120,16 +109,14 @@ def _machine_problem():
     return props, model
 
 
-@pytest.mark.parametrize("kernel", ["sparse", "jit"])
+@pytest.mark.parametrize("kernel", ["sparse"])
 def test_machine_kernel_tiers_identical(kernel):
     props, model = _machine_problem()
 
     def run(tier):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return DWaveSimulator(properties=props, seed=11).sample_ising(
-                model, num_reads=6, kernel=tier
-            )
+        return DWaveSimulator(properties=props, seed=11).sample_ising(
+            model, num_reads=6, kernel=tier
+        )
 
     _assert_identical(run("dense"), run(kernel))
 

@@ -165,6 +165,28 @@ class TestValidation:
         assert request.pins == ("C[7:0] := 10001111",)
         assert request.seed == 7
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--topology-size", "0"],
+            ["--topology-size", "-2"],
+            ["--topology", "hexagon"],
+        ],
+        ids=["size-0", "size-negative", "unknown-family"],
+    )
+    def test_bad_machine_flags_stop_serve_at_startup(self, flags, monkeypatch, capsys):
+        from repro.service import app
+
+        def refuse(config):
+            raise AssertionError(f"server started with {config}")
+
+        monkeypatch.setattr(app, "AnnealingServer", refuse)
+        assert app.serve_main(["--port", "0", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags[0]}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 # ----------------------------------------------------------------------
 # Worker pool unit tests (no HTTP, no sampling).
